@@ -53,9 +53,9 @@ let run obj_path gmon_paths store_dir no_static removed break focus exclude
   in
   finish
   @@
-  match Objcode.Objfile.load obj_path with
-  | Error e ->
-    Printf.eprintf "gprofx: %s: %s\n" obj_path e;
+  match Objcode.Objfile.load_valid obj_path with
+  | Error es ->
+    List.iter (Printf.eprintf "gprofx: %s: %s\n" obj_path) es;
     1
   | Ok o -> (
     let mode = if lenient then `Salvage else `Strict in

@@ -8,9 +8,9 @@
 open Cmdliner
 
 let run obj_path script seed quiet =
-  match Objcode.Objfile.load obj_path with
-  | Error e ->
-    Printf.eprintf "kgmonx: %s: %s\n" obj_path e;
+  match Objcode.Verify.load obj_path with
+  | Error es ->
+    List.iter (Printf.eprintf "kgmonx: %s: %s\n" obj_path) es;
     1
   | Ok o -> (
     match Vm.Kscript.parse script with

@@ -24,10 +24,10 @@ let run obj_path gmon_out submit_sock submit_label submit_retries spool_dir
   @@
   match
     Obs.Trace.with_span ~cat:"minirun" "load-objfile" (fun () ->
-        Objcode.Objfile.load obj_path)
+        Objcode.Verify.load obj_path)
   with
-  | Error e ->
-    Printf.eprintf "minirun: %s: %s\n" obj_path e;
+  | Error es ->
+    List.iter (Printf.eprintf "minirun: %s: %s\n" obj_path) es;
     1
   | Ok o -> (
     let config =

@@ -11,8 +11,8 @@ open Cmdliner
 (* each side reduces to Diffprof's generic accounting: per-routine
    self and total seconds, plus the side's total *)
 let analyze ~lenient obj_path prof_path =
-  match Objcode.Objfile.load obj_path with
-  | Error e -> Error (Printf.sprintf "%s: %s" obj_path e)
+  match Objcode.Objfile.load_valid obj_path with
+  | Error es -> Error (Printf.sprintf "%s: %s" obj_path (String.concat "; " es))
   | Ok o -> (
     let mode = if lenient then `Salvage else `Strict in
     if Gmon.Sprof.sniff_file prof_path then

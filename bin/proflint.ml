@@ -51,8 +51,13 @@ let run figure4 obj_path gmon_paths strict json obs_metrics pgo_baseline =
     Printf.eprintf "proflint: %s\n" e;
     1
   | Ok (obj, profiles) ->
-    (* amortize the static analyses over every profile *)
-    let statics = Analysis.Proflint.prepare obj in
+    (* amortize the static analyses over every profile; an image that
+       fails validation gets none, only its binary-invalid findings *)
+    let statics =
+      match Objcode.Objfile.validate obj with
+      | Ok () -> Some (Analysis.Proflint.prepare obj)
+      | Error _ -> None
+    in
     let pgo =
       match pgo_baseline with
       | None -> Ok []
@@ -71,10 +76,10 @@ let run figure4 obj_path gmon_paths strict json obs_metrics pgo_baseline =
       pgo
       @
       match profiles with
-      | [] -> [ ("binary", Analysis.Proflint.lint_binary ~statics obj) ]
+      | [] -> [ ("binary", Analysis.Proflint.lint_binary ?statics obj) ]
       | ps ->
         List.map
-          (fun (name, g) -> (name, Analysis.Proflint.lint ~statics obj g))
+          (fun (name, g) -> (name, Analysis.Proflint.lint ?statics obj g))
           ps
     in
     (if json then

@@ -22,8 +22,8 @@ let obj_for ~cache ~default_obj path =
   match Hashtbl.find_opt cache chosen with
   | Some o -> Ok (chosen, o)
   | None -> (
-    match Objcode.Objfile.load chosen with
-    | Error e -> fail "%s: %s" chosen e
+    match Objcode.Objfile.load_valid chosen with
+    | Error es -> fail "%s: %s" chosen (String.concat "; " es)
     | Ok o ->
       Hashtbl.add cache chosen o;
       Ok (chosen, o))

@@ -20,10 +20,10 @@ let run obj_path gmon_path counts_path lenient obs_metrics obs_trace =
   @@
   match
     Obs.Trace.with_span ~cat:"prof" "load-objfile" (fun () ->
-        Objcode.Objfile.load obj_path)
+        Objcode.Objfile.load_valid obj_path)
   with
-  | Error e ->
-    Printf.eprintf "profx: %s: %s\n" obj_path e;
+  | Error es ->
+    List.iter (Printf.eprintf "profx: %s: %s\n" obj_path) es;
     1
   | Ok o -> (
     let mode = if lenient then `Salvage else `Strict in

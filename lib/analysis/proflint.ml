@@ -228,24 +228,21 @@ let static_warnings o =
 (* ------------------------------------------------------------------ *)
 (* Binary-only rules *)
 
+(* A text scan, safe on any image. *)
+let anomaly_findings o =
+  List.map
+    (fun a ->
+      finding ~addr:a.Objcode.Scan.an_addr "call-anomaly" "%s"
+        (Objcode.Scan.anomaly_to_string a))
+    (Objcode.Scan.anomalies o)
+
 let binary_findings ?cfg ?indirect ?statics (o : Objfile.t) =
   let statics =
     match statics with Some s -> s | None -> prepare ?cfg ?indirect o
   in
   let cfg = statics.s_cfg in
   let indirect = statics.s_indirect in
-  let acc = ref [] in
-  (match Objfile.validate o with
-  | Ok () -> ()
-  | Error es ->
-    List.iter (fun e -> acc := finding "binary-invalid" "%s" e :: !acc) es);
-  List.iter
-    (fun a ->
-      acc :=
-        finding ~addr:a.Objcode.Scan.an_addr "call-anomaly" "%s"
-          (Objcode.Scan.anomaly_to_string a)
-        :: !acc)
-    (Objcode.Scan.anomalies o);
+  let acc = ref (List.rev (anomaly_findings o)) in
   let reach = Reach.analyze ~indirect cfg in
   List.iter
     (fun name ->
@@ -264,12 +261,26 @@ let binary_findings ?cfg ?indirect ?statics (o : Objfile.t) =
     reach.Reach.r_dead_blocks;
   (reach, List.rev !acc @ dataflow_findings statics)
 
-let lint_binary ?cfg ?indirect ?statics o =
-  Obs.Trace.with_span ~cat:"analysis" "lint-binary" @@ fun () ->
-  let _, fs = binary_findings ?cfg ?indirect ?statics o in
+(* The static passes assume a structurally valid image (they crash on
+   a negative call arity, for one), so an image that fails validation
+   gets its binary-invalid findings and the text scan's call
+   anomalies, nothing else. [None] for a valid image. *)
+let invalid_findings o =
+  match Objfile.validate o with
+  | Ok () -> None
+  | Error es ->
+    Some (List.map (finding "binary-invalid" "%s") es @ anomaly_findings o)
+
+let binary_result fs =
   let fs = sort_findings fs in
   publish fs;
   { l_findings = fs; l_arcs_checked = 0; l_buckets_checked = 0 }
+
+let lint_binary ?cfg ?indirect ?statics o =
+  Obs.Trace.with_span ~cat:"analysis" "lint-binary" @@ fun () ->
+  match invalid_findings o with
+  | Some invalid -> binary_result invalid
+  | None -> binary_result (snd (binary_findings ?cfg ?indirect ?statics o))
 
 (* ------------------------------------------------------------------ *)
 (* PGO pairing rules: does an optimized rebuild still line up with the
@@ -621,6 +632,9 @@ let statics_profile_findings (st : statics) (o : Objfile.t) (g : Gmon.t) =
 
 let lint ?cfg ?indirect ?statics (o : Objfile.t) (g : Gmon.t) =
   Obs.Trace.with_span ~cat:"analysis" "lint" @@ fun () ->
+  match invalid_findings o with
+  | Some invalid -> binary_result invalid
+  | None ->
   let statics =
     match statics with Some s -> s | None -> prepare ?cfg ?indirect o
   in

@@ -127,8 +127,11 @@ val lint :
   t
 (** Lint one profile against one executable. [statics] (or
     [cfg]/[indirect]) default to fresh analyses of the executable;
-    pass them to amortize over many profiles. Publishes
-    [analysis.lint.*] counters (including per-rule
+    pass them to amortize over many profiles. An executable that
+    fails {!Objcode.Objfile.validate} gets only its [binary-invalid]
+    and [call-anomaly] findings: no static pass runs on it, and
+    [statics] is unused.
+    Publishes [analysis.lint.*] counters (including per-rule
     [analysis.lint.fired.*]) to {!Obs.Metrics.default}. *)
 
 val lint_binary :
@@ -138,7 +141,8 @@ val lint_binary :
     [profiled-unreachable], [dead-blocks], and the dataflow rules
     [dead-store]/[dead-param]/[const-branch]/[const-dead-block]/
     [irreducible-loop]) — what can be checked with no profile at
-    hand. *)
+    hand. Like {!lint}, only [binary-invalid] and [call-anomaly] for
+    an executable that fails validation. *)
 
 val lint_pgo : baseline:Objcode.Objfile.t -> Objcode.Objfile.t -> t
 (** The PGO pairing rules: check a profile-guided rebuild against the

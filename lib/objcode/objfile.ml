@@ -65,12 +65,22 @@ let func_id_of_addr o addr =
   | Some i when o.symbols.(i).addr = addr -> Some i
   | _ -> None
 
+let max_locals = 65_535
+
+let location o pc =
+  match find_symbol o pc with
+  | Some s -> Printf.sprintf "%s+%d (pc %d)" s.name (pc - s.addr) pc
+  | None -> Printf.sprintf "pc %d" pc
+
 let validate o =
   let errs = ref [] in
   let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in
   let n = Array.length o.text in
   if Array.length o.globals <> Array.length o.global_init then
     err "globals/global_init length mismatch";
+  Array.iter
+    (fun (name, len) -> if len < 0 then err "array %s has negative length %d" name len)
+    o.arrays;
   (* symbol table shape *)
   Array.iteri
     (fun i s ->
@@ -95,31 +105,38 @@ let validate o =
         err "line table not strictly ascending at address %d" addr)
     o.lines;
   (* per-instruction operand checks *)
+  let at pc fmt = err ("%s: " ^^ fmt) (location o pc) in
+  let inside_same_function pc target =
+    match (symbol_index o pc, symbol_index o target) with
+    | Some a, Some b -> a = b
+    | _ -> false
+  in
+  let count pc what k =
+    if k < 0 || k > max_locals then at pc "%s %d outside [0, %d]" what k max_locals
+  in
   Array.iteri
-    (fun pc ins ->
-      let inside_same_function target =
-        match (symbol_index o pc, symbol_index o target) with
-        | Some a, Some b -> a = b
-        | _ -> false
-      in
-      match (ins : Instr.t) with
+    (fun pc (ins : Instr.t) ->
+      match ins with
       | Jump t | Jumpz t ->
-        if not (inside_same_function t) then
-          err "jump at %d targets %d outside its function" pc t
-      | Call (t, _) | Funref t ->
-        if not (is_entry t) then
-          err "call/funref at %d targets %d which is not a function start" pc t
+        if not (inside_same_function pc t) then
+          at pc "jump targets %d outside its function" t
+      | Call (t, k) ->
+        if not (is_entry t) then at pc "call targets %d which is not a function start" t;
+        count pc "call arity" k
+      | Funref t ->
+        if not (is_entry t) then at pc "funref targets %d which is not a function start" t
+      | Calli k -> count pc "calli arity" k
+      | Enter k -> count pc "enter count" k
+      | Load s | Store s ->
+        if s < 0 || s >= max_locals then
+          at pc "local slot %d outside [0, %d)" s max_locals
       | Gload g | Gstore g ->
-        if g < 0 || g >= Array.length o.globals then
-          err "global id %d at %d out of range" g pc
+        if g < 0 || g >= Array.length o.globals then at pc "global id %d out of range" g
       | Aload a | Astore a ->
-        if a < 0 || a >= Array.length o.arrays then
-          err "array id %d at %d out of range" a pc
+        if a < 0 || a >= Array.length o.arrays then at pc "array id %d out of range" a
       | Pcount f ->
-        if f < 0 || f >= Array.length o.symbols then
-          err "pcount id %d at %d out of range" f pc
-      | Nop | Const _ | Load _ | Store _ | Alu _ | Unop _ | Calli _ | Enter _
-      | Mcount | Ret | Pop | Syscall _ | Halt -> ())
+        if f < 0 || f >= Array.length o.symbols then at pc "pcount id %d out of range" f
+      | Nop | Const _ | Alu _ | Unop _ | Mcount | Ret | Pop | Syscall _ | Halt -> ())
     o.text;
   match List.rev !errs with [] -> Ok () | es -> Error es
 
@@ -270,6 +287,11 @@ let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | s -> of_string s
   | exception Sys_error e -> Error e
+
+let load_valid path =
+  match load path with
+  | Error e -> Error [ e ]
+  | Ok o -> Result.map (fun () -> o) (validate o)
 
 let equal a b =
   a.text = b.text && a.symbols = b.symbols && a.entry = b.entry

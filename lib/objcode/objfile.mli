@@ -53,12 +53,28 @@ val func_id_of_addr : t -> int -> int option
 (** Index of the symbol whose [addr] equals the given address exactly
     (i.e. the address is a function entry point). *)
 
+val max_locals : int
+(** The largest call arity or [enter] count an image may declare, and
+    the bound on local slot numbers (65,535, the JVM's [max_locals]). *)
+
+val location : t -> int -> string
+(** [location o pc] names an address the way load-time errors do:
+    ["main+2 (pc 77)"] — function, offset, and pc — or ["pc N"] when
+    no symbol covers it. *)
+
 val validate : t -> (unit, string list) result
 (** Structural linting: symbols sorted, in range and non-overlapping;
-    entry targets a symbol start; all jump targets fall inside the
-    jumping function; all direct call and funref targets are symbol
-    starts; global/array operand ids in range; array ids in range.
-    Returns all violations. *)
+    entry targets a symbol start; array lengths non-negative; all jump
+    targets fall inside the jumping function; all direct call and
+    funref targets are symbol starts; call and calli arities and enter
+    counts within [\[0, max_locals\]]; local slots within
+    [\[0, max_locals)];
+    global, array, and pcount ids in range. Errors about an
+    instruction start with its {!location}. Returns all violations.
+
+    This is the structural half of what the VM checks at load; the
+    operand-stack half is {!Verify}, kept separate because fixtures
+    that are never executed (the Figure 4 image) need only this one. *)
 
 val to_string : t -> string
 (** Textual serialization, stable across runs. *)
@@ -69,5 +85,9 @@ val save : t -> string -> unit
 (** [save o path] writes {!to_string} to [path]. *)
 
 val load : string -> (t, string) result
+
+val load_valid : string -> (t, string list) result
+(** {!load}, then {!validate}: how the analysis tools read an object
+    file, since their passes assume a structurally valid image. *)
 
 val equal : t -> t -> bool

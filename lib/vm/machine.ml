@@ -50,12 +50,22 @@ let pp_fault ppf f = Format.fprintf ppf "fault at pc %d: %s" f.fault_pc f.reason
 
 type status = Running | Halted | Faulted of fault
 
-type frame = {
-  ret_pc : int;
-  func_entry : int;
-  base : int; (* operand stack height when the frame was pushed *)
-  mutable locals : int array;
-}
+(* Instruction costs, decoded once at creation: one byte per pc (the
+   dearest instruction costs 40 cycles). *)
+let cost_table text =
+  Bytes.init (Array.length text) (fun pc -> Char.chr (Instr.cost text.(pc)))
+
+(* Frames live in one int array, [frame_words] per frame: the return
+   address, the entry address, the operand-stack height below the
+   frame, where its locals start in [locals], and whether its local
+   slots must be checked at run time (entered through [calli] with
+   fewer arguments than verification assumed). *)
+let frame_words = 5
+let f_ret = 0
+let f_entry = 1
+let f_base = 2
+let f_lbase = 3
+let f_checked = 4
 
 (* The epoch engine: cumulative counter values at the last boundary,
    against which each window's delta is computed. Baselines and
@@ -71,12 +81,26 @@ type epoch_state = {
 type t = {
   config : config;
   o : Objfile.t;
+  text : Instr.t array;
+  costs : Bytes.t; (* Instr.cost per pc *)
+  entry_fid : int array;
+      (* symbol id per function entry address, -1 elsewhere: the O(1)
+         calli target check; empty when the text has no calli *)
+  min_args : int array; (* Verify.min_args *)
+  room : int; (* the deepest operand stack any one frame builds *)
   mutable pc : int;
-  stack : int Util.Growvec.t;
-  frames : frame Util.Growvec.t;
+  mutable stack : int array;
+  mutable sp : int;
+  mutable frames : int array;
+  mutable depth : int;
+  mutable locals : int array;
+  mutable lbase : int; (* the current frame's locals are [lbase, ltop) *)
+  mutable ltop : int;
+  mutable checked : bool; (* the current frame's f_checked *)
   globals : int array;
   arrays : int array array;
   mutable cycles : int;
+  max_cycles : int; (* max_int when unlimited *)
   mutable next_tick : int;
   mutable n_ticks : int;
   profil : Profil.t;
@@ -86,42 +110,69 @@ type t = {
   pcounts : int array;
   oracle : Oracle.t option;
   sampler : Stacksamp.t option;
-  icounts : int array option;
-  mutable n_instr : int;
-  dispatch : int array; (* per Instr.group execution counts *)
-  groups : int array;
-      (* Instr.group of every text word, precomputed at creation so
-         the metrics-on hot path is two array bumps, not a re-match of
-         the constructor per step. Empty when metrics are off. *)
+  counting : bool; (* count_instructions or metrics *)
+  icounts : int array;
+      (* executions per pc, empty unless counting: the instruction
+         counts and the metrics' dispatch breakdown both derive from
+         it, so the hot path bumps one counter *)
   prng : Util.Prng.t;
   out : Buffer.t;
   mutable status : status;
   mutable result : int option;
-  mutable fault_countdown : int option;
-      (* decremented per instruction independently of the metrics
-         counters, so injection works with metrics off *)
+  mutable fault_countdown : int;
+      (* instructions left before the injected fault, max_int when
+         none is configured; counted independently of the metrics, so
+         injection works with metrics off *)
   epochs : epoch_state option;
 }
-
-let dummy_frame = { ret_pc = -1; func_entry = 0; base = 0; locals = [||] }
 
 let create ?(config = default_config) o =
   let text_size = Array.length o.Objfile.text in
   if text_size = 0 then invalid_arg "Machine.create: empty text segment";
+  let facts =
+    match Objcode.Verify.check o with
+    | Ok v -> v
+    | Error es -> invalid_arg ("Machine.create: " ^ String.concat "; " es)
+  in
+  let entry_fid =
+    if Array.exists (function Instr.Calli _ -> true | _ -> false) o.text then begin
+      let t = Array.make text_size (-1) in
+      Array.iteri (fun f s -> t.(s.Objfile.addr) <- f) o.symbols;
+      t
+    end
+    else [||]
+  in
   let profil =
     Profil.create ~lowpc:0 ~highpc:text_size ~bucket_size:config.hist_bucket_size
   in
   if not config.histogram then Profil.disable profil;
+  let frames = Array.make (64 * frame_words) 0 in
+  (* The startup stub "calls" main: a frame with a sentinel return
+     address, which the monitor will classify as spontaneous. *)
+  frames.(f_ret) <- -1;
+  frames.(f_entry) <- o.entry;
   let m =
     {
       config;
       o;
+      text = o.text;
+      costs = cost_table o.text;
+      entry_fid;
+      min_args = facts.min_args;
+      room = facts.max_stack;
       pc = o.entry;
-      stack = Util.Growvec.create ~capacity:256 ~dummy:0 ();
-      frames = Util.Growvec.create ~capacity:64 ~dummy:dummy_frame ();
+      stack = Array.make (max 256 facts.max_stack) 0;
+      sp = 0;
+      frames;
+      depth = 1;
+      locals = Array.make 256 0;
+      lbase = 0;
+      ltop = 0;
+      checked = false;
       globals = Array.copy o.global_init;
       arrays = Array.map (fun (_, len) -> Array.make len 0) o.arrays;
       cycles = 0;
+      max_cycles = Option.value config.max_cycles ~default:max_int;
       next_tick = config.cycles_per_tick;
       n_ticks = 0;
       profil;
@@ -135,17 +186,15 @@ let create ?(config = default_config) o =
           (fun i ->
             Stacksamp.create ?capacity:config.stack_capacity ~interval:i ())
           config.stack_interval;
+      counting = config.count_instructions || config.metrics;
       icounts =
-        (if config.count_instructions then Some (Array.make text_size 0) else None);
-      n_instr = 0;
-      dispatch = Array.make Instr.n_groups 0;
-      groups =
-        (if config.metrics then Array.map Instr.group o.Objfile.text else [||]);
+        (if config.count_instructions || config.metrics then Array.make text_size 0
+         else [||]);
       prng = Util.Prng.create config.seed;
       out = Buffer.create 256;
       status = Running;
       result = None;
-      fault_countdown = config.fault_after_instr;
+      fault_countdown = Option.value config.fault_after_instr ~default:max_int;
       epochs =
         (match config.epoch_ticks with
         | None -> None
@@ -164,10 +213,6 @@ let create ?(config = default_config) o =
             });
     }
   in
-  (* The startup stub "calls" main: a frame with a sentinel return
-     address, which the monitor will classify as spontaneous. *)
-  Util.Growvec.push m.frames
-    { ret_pc = -1; func_entry = o.entry; base = 0; locals = [||] };
   (match m.oracle with
   | Some orc -> Oracle.on_call orc ~site:(-1) ~callee:o.entry ~now:0
   | None -> ());
@@ -181,35 +226,47 @@ let output m = Buffer.contents m.out
 let result m = m.result
 let pcounts m = Array.copy m.pcounts
 
-let instruction_counts m = Option.map Array.copy m.icounts
+let instruction_counts m =
+  if m.config.count_instructions then Some (Array.copy m.icounts) else None
 let monitor m = m.monitor
 let mcount_cycles m = m.mcount_cycles
 let the_oracle m = m.oracle
 
-let instructions_executed m = m.n_instr
+(* Executions per Instr.group, summed from the per-pc counts. *)
+let dispatch m =
+  let d = Array.make Instr.n_groups 0 in
+  if m.config.metrics then
+    Array.iteri
+      (fun pc n ->
+        let g = Instr.group m.text.(pc) in
+        d.(g) <- d.(g) + n)
+      m.icounts;
+  d
+
+let instructions_executed m =
+  if m.config.metrics then Array.fold_left ( + ) 0 m.icounts else 0
 
 let dispatch_counts m =
-  Array.to_list (Array.mapi (fun g n -> (Instr.group_name g, n)) m.dispatch)
+  Array.to_list (Array.mapi (fun g n -> (Instr.group_name g, n)) (dispatch m))
 
 let observe m reg =
   let module M = Obs.Metrics in
   let g name v = M.set (M.gauge reg name) v in
-  g "vm.instructions" m.n_instr;
+  g "vm.instructions" (instructions_executed m);
   g "vm.cycles" m.cycles;
   g "vm.ticks" m.n_ticks;
   g "vm.mcount_cycles" m.mcount_cycles;
-  g "vm.stack_depth" (Util.Growvec.length m.stack);
-  g "vm.frame_depth" (Util.Growvec.length m.frames);
+  g "vm.stack_depth" m.sp;
+  g "vm.frame_depth" m.depth;
   Array.iteri
     (fun grp n -> if n > 0 then g ("vm.dispatch." ^ Instr.group_name grp) n)
-    m.dispatch;
+    (dispatch m);
   Option.iter (fun s -> Stacksamp.observe s reg) m.sampler;
   Monitor.observe m.monitor reg;
   Profil.observe m.profil reg
 
 let call_stack m =
-  Array.init (Util.Growvec.length m.frames) (fun i ->
-      (Util.Growvec.get m.frames i).func_entry)
+  Array.init m.depth (fun d -> m.frames.((d * frame_words) + f_entry))
 
 let sampler m = m.sampler
 
@@ -331,22 +388,25 @@ let epochs m =
 
 exception Fault of string
 
-let fault m reason =
-  let f = { fault_pc = m.pc; reason } in
-  m.status <- Faulted f;
-  Faulted f
+let fault m reason = m.status <- Faulted { fault_pc = m.pc; reason }
 
-let push m v = Util.Growvec.push m.stack v
+(* Verified code never underflows, and every call makes room for the
+   deepest operand stack a frame builds, so pushes need no capacity
+   check. *)
+let push m v =
+  let sp = m.sp in
+  m.stack.(sp) <- v;
+  m.sp <- sp + 1
 
 let pop m =
-  match Util.Growvec.pop m.stack with
-  | Some v -> v
-  | None -> raise (Fault "operand stack underflow")
+  let sp = m.sp - 1 in
+  m.sp <- sp;
+  m.stack.(sp)
 
-let cur_frame m =
-  match Util.Growvec.top m.frames with
-  | Some f -> f
-  | None -> raise (Fault "no active frame")
+let grown a need =
+  let b = Array.make (max need (2 * Array.length a)) 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 let next_interval m =
   let cpt = m.config.cycles_per_tick in
@@ -375,20 +435,42 @@ let service_ticks m ~at_pc =
     m.next_tick <- m.next_tick + next_interval m
   done
 
-let do_call m ~target ~nargs ~ret_pc =
-  if Util.Growvec.length m.frames >= m.config.max_depth then
-    raise (Fault "call depth limit exceeded");
-  if target < 0 || target >= Array.length m.o.Objfile.text then
+(* The checks a call keeps at run time come first, in this order:
+   depth, then (for [calli]) the target. *)
+let check_depth m =
+  if m.depth >= m.config.max_depth then raise (Fault "call depth limit exceeded")
+
+let calli_target m target =
+  if target < 0 || target >= Array.length m.text then
     raise (Fault (Printf.sprintf "call target %d outside text" target));
-  (match Objfile.func_id_of_addr m.o target with
-  | Some _ -> ()
-  | None -> raise (Fault (Printf.sprintf "call target %d is not a function entry" target)));
-  let locals = Array.make nargs 0 in
-  for i = nargs - 1 downto 0 do
-    locals.(i) <- pop m
+  let f = m.entry_fid.(target) in
+  if f < 0 then
+    raise (Fault (Printf.sprintf "call target %d is not a function entry" target));
+  f
+
+(* Move the top [nargs] operands into a fresh locals window and push a
+   frame with [m.room] words of operand stack above its base. *)
+let do_call m ~target ~nargs ~checked ~ret_pc =
+  let base = m.sp - nargs and lb = m.ltop in
+  if lb + nargs > Array.length m.locals then m.locals <- grown m.locals (lb + nargs);
+  for i = 0 to nargs - 1 do
+    m.locals.(lb + i) <- m.stack.(base + i)
   done;
-  Util.Growvec.push m.frames
-    { ret_pc; func_entry = target; base = Util.Growvec.length m.stack; locals };
+  m.sp <- base;
+  if base + m.room > Array.length m.stack then m.stack <- grown m.stack (base + m.room);
+  let fr = m.depth * frame_words in
+  if fr + frame_words > Array.length m.frames then
+    m.frames <- grown m.frames (fr + frame_words);
+  let frames = m.frames in
+  frames.(fr + f_ret) <- ret_pc;
+  frames.(fr + f_entry) <- target;
+  frames.(fr + f_base) <- base;
+  frames.(fr + f_lbase) <- lb;
+  frames.(fr + f_checked) <- Bool.to_int checked;
+  m.depth <- m.depth + 1;
+  m.lbase <- lb;
+  m.ltop <- lb + nargs;
+  m.checked <- checked;
   (match m.oracle with
   | Some orc -> Oracle.on_call orc ~site:(ret_pc - 1) ~callee:target ~now:m.cycles
   | None -> ());
@@ -396,206 +478,193 @@ let do_call m ~target ~nargs ~ret_pc =
 
 let do_ret m =
   let value = pop m in
-  match Util.Growvec.pop m.frames with
-  | None -> raise (Fault "return with no active frame")
-  | Some fr ->
-    (match m.oracle with
-    | Some orc -> Oracle.on_return orc ~now:m.cycles
-    | None -> ());
-    (* Reset the operand stack to the caller's height; balanced code
-       leaves nothing extra, but hand-written code may. *)
-    while Util.Growvec.length m.stack > fr.base do
-      ignore (pop m)
-    done;
-    if Util.Growvec.is_empty m.frames then begin
-      m.status <- Halted;
-      m.result <- Some value
-    end
-    else begin
-      push m value;
-      m.pc <- fr.ret_pc
-    end
+  let fr = (m.depth - 1) * frame_words in
+  (match m.oracle with
+  | Some orc -> Oracle.on_return orc ~now:m.cycles
+  | None -> ());
+  (* Reset the operand stack to the caller's height; balanced code
+     leaves nothing extra, but hand-written code may. *)
+  m.sp <- m.frames.(fr + f_base);
+  m.ltop <- m.lbase;
+  m.depth <- m.depth - 1;
+  if m.depth = 0 then begin
+    m.status <- Halted;
+    m.result <- Some value
+  end
+  else begin
+    let caller = fr - frame_words in
+    m.lbase <- m.frames.(caller + f_lbase);
+    m.checked <- m.frames.(caller + f_checked) = 1;
+    push m value;
+    m.pc <- m.frames.(fr + f_ret)
+  end
 
-let alu_apply op a b =
-  match (op : Instr.alu) with
-  | Add -> a + b
-  | Sub -> a - b
-  | Mul -> a * b
-  | Div -> if b = 0 then raise (Fault "division by zero") else a / b
-  | Mod -> if b = 0 then raise (Fault "division by zero") else a mod b
-  | Lt -> if a < b then 1 else 0
-  | Le -> if a <= b then 1 else 0
-  | Gt -> if a > b then 1 else 0
-  | Ge -> if a >= b then 1 else 0
-  | Eq -> if a = b then 1 else 0
-  | Ne -> if a <> b then 1 else 0
+let check_slot m slot =
+  if slot >= m.ltop - m.lbase then
+    raise (Fault (Printf.sprintf "local slot %d out of range" slot))
+
+let index_check m a arr i =
+  if i < 0 || i >= Array.length arr then
+    raise
+      (Fault
+         (Printf.sprintf "index %d out of bounds for %s[%d]" i
+            (fst m.o.Objfile.arrays.(a))
+            (Array.length arr)))
+
+(* One instruction and the clock ticks it completes. A fault leaves
+   [m.pc] at the faulting instruction: every handler writes the pc
+   last, after the checks that can raise. *)
+let exec m =
+  let pc = m.pc in
+  let n = m.fault_countdown in
+  if n <= 0 then raise (Fault injected_fault_reason);
+  m.fault_countdown <- n - 1;
+  if m.counting then m.icounts.(pc) <- m.icounts.(pc) + 1;
+  let cycles = m.cycles + Char.code (Bytes.get m.costs pc) in
+  m.cycles <- cycles;
+  if cycles > m.max_cycles then raise (Fault "cycle limit exceeded");
+  (match m.text.(pc) with
+  | Instr.Nop -> m.pc <- pc + 1
+  | Const n ->
+    push m n;
+    m.pc <- pc + 1
+  | Load slot ->
+    if m.checked then check_slot m slot;
+    push m m.locals.(m.lbase + slot);
+    m.pc <- pc + 1
+  | Store slot ->
+    if m.checked then check_slot m slot;
+    m.locals.(m.lbase + slot) <- pop m;
+    m.pc <- pc + 1
+  | Gload g ->
+    push m m.globals.(g);
+    m.pc <- pc + 1
+  | Gstore g ->
+    m.globals.(g) <- pop m;
+    m.pc <- pc + 1
+  | Aload a ->
+    let arr = m.arrays.(a) in
+    let i = pop m in
+    index_check m a arr i;
+    push m arr.(i);
+    m.pc <- pc + 1
+  | Astore a ->
+    let arr = m.arrays.(a) in
+    let v = pop m in
+    let i = pop m in
+    index_check m a arr i;
+    arr.(i) <- v;
+    m.pc <- pc + 1
+  | Alu op ->
+    let b = pop m in
+    let a = pop m in
+    push m
+      (match op with
+      | Add -> a + b
+      | Sub -> a - b
+      | Mul -> a * b
+      | Div -> if b = 0 then raise (Fault "division by zero") else a / b
+      | Mod -> if b = 0 then raise (Fault "division by zero") else a mod b
+      | Lt -> Bool.to_int (a < b)
+      | Le -> Bool.to_int (a <= b)
+      | Gt -> Bool.to_int (a > b)
+      | Ge -> Bool.to_int (a >= b)
+      | Eq -> Bool.to_int (a = b)
+      | Ne -> Bool.to_int (a <> b));
+    m.pc <- pc + 1
+  | Unop Neg ->
+    push m (-pop m);
+    m.pc <- pc + 1
+  | Unop Not ->
+    push m (Bool.to_int (pop m = 0));
+    m.pc <- pc + 1
+  | Jump target -> m.pc <- target
+  | Jumpz target -> m.pc <- (if pop m = 0 then target else pc + 1)
+  | Call (target, nargs) ->
+    check_depth m;
+    do_call m ~target ~nargs ~checked:false ~ret_pc:(pc + 1)
+  | Calli nargs ->
+    let target = pop m in
+    check_depth m;
+    let f = calli_target m target in
+    do_call m ~target ~nargs ~checked:(nargs < m.min_args.(f)) ~ret_pc:(pc + 1)
+  | Funref addr ->
+    push m addr;
+    m.pc <- pc + 1
+  | Enter extra ->
+    let top = m.ltop + extra in
+    if top > Array.length m.locals then m.locals <- grown m.locals top;
+    Array.fill m.locals m.ltop extra 0;
+    m.ltop <- top;
+    m.pc <- pc + 1
+  | Mcount ->
+    if m.monitoring then begin
+      let fr = (m.depth - 1) * frame_words in
+      let cost =
+        Monitor.record m.monitor
+          ~frompc:(m.frames.(fr + f_ret) - 1)
+          ~selfpc:m.frames.(fr + f_entry)
+      in
+      m.cycles <- m.cycles + cost;
+      m.mcount_cycles <- m.mcount_cycles + cost
+    end;
+    m.pc <- pc + 1
+  | Pcount f ->
+    if m.monitoring then m.pcounts.(f) <- m.pcounts.(f) + 1;
+    m.pc <- pc + 1
+  | Ret -> do_ret m
+  | Pop ->
+    m.sp <- m.sp - 1;
+    m.pc <- pc + 1
+  | Syscall sc ->
+    (match sc with
+    | Sys_print ->
+      let v = pop m in
+      Buffer.add_string m.out (string_of_int v);
+      Buffer.add_char m.out '\n';
+      push m v
+    | Sys_putc ->
+      let v = pop m in
+      Buffer.add_char m.out (Char.chr (((v mod 256) + 256) mod 256));
+      push m v
+    | Sys_rand ->
+      let bound = pop m in
+      push m (if bound <= 0 then 0 else Util.Prng.int m.prng bound)
+    | Sys_cycles -> push m m.cycles);
+    m.pc <- pc + 1
+  | Halt ->
+    m.status <- Halted;
+    m.result <- Some 0);
+  if m.cycles >= m.next_tick then service_ticks m ~at_pc:pc
+
+(* The oracle closes its books after the halting instruction's ticks. *)
+let finish m =
+  match (m.status, m.oracle) with
+  | Halted, Some orc -> Oracle.finish orc ~now:m.cycles
+  | _ -> ()
 
 let step m =
-  match m.status with
-  | (Halted | Faulted _) as s -> s
-  | Running -> (
-    let text = m.o.Objfile.text in
-    if m.pc < 0 || m.pc >= Array.length text then fault m "pc outside text segment"
-    else begin
-      let at_pc = m.pc in
-      let ins = text.(m.pc) in
-      try
-        (match m.fault_countdown with
-        | Some n when n <= 0 -> raise (Fault injected_fault_reason)
-        | Some n -> m.fault_countdown <- Some (n - 1)
-        | None -> ());
-        (match m.icounts with
-        | Some counts -> counts.(at_pc) <- counts.(at_pc) + 1
-        | None -> ());
-        if m.config.metrics then begin
-          m.n_instr <- m.n_instr + 1;
-          let grp = m.groups.(at_pc) in
-          m.dispatch.(grp) <- m.dispatch.(grp) + 1
-        end;
-        m.cycles <- m.cycles + Instr.cost ins;
-        (match m.config.max_cycles with
-        | Some limit when m.cycles > limit -> raise (Fault "cycle limit exceeded")
-        | _ -> ());
-        (match ins with
-        | Instr.Nop -> m.pc <- m.pc + 1
-        | Instr.Const n ->
-          push m n;
-          m.pc <- m.pc + 1
-        | Instr.Load slot ->
-          let fr = cur_frame m in
-          if slot < 0 || slot >= Array.length fr.locals then
-            raise (Fault (Printf.sprintf "local slot %d out of range" slot));
-          push m fr.locals.(slot);
-          m.pc <- m.pc + 1
-        | Instr.Store slot ->
-          let fr = cur_frame m in
-          if slot < 0 || slot >= Array.length fr.locals then
-            raise (Fault (Printf.sprintf "local slot %d out of range" slot));
-          fr.locals.(slot) <- pop m;
-          m.pc <- m.pc + 1
-        | Instr.Gload g ->
-          if g < 0 || g >= Array.length m.globals then
-            raise (Fault (Printf.sprintf "global %d out of range" g));
-          push m m.globals.(g);
-          m.pc <- m.pc + 1
-        | Instr.Gstore g ->
-          if g < 0 || g >= Array.length m.globals then
-            raise (Fault (Printf.sprintf "global %d out of range" g));
-          m.globals.(g) <- pop m;
-          m.pc <- m.pc + 1
-        | Instr.Aload a ->
-          if a < 0 || a >= Array.length m.arrays then
-            raise (Fault (Printf.sprintf "array %d out of range" a));
-          let arr = m.arrays.(a) in
-          let i = pop m in
-          if i < 0 || i >= Array.length arr then
-            raise
-              (Fault
-                 (Printf.sprintf "index %d out of bounds for %s[%d]" i
-                    (fst m.o.Objfile.arrays.(a))
-                    (Array.length arr)));
-          push m arr.(i);
-          m.pc <- m.pc + 1
-        | Instr.Astore a ->
-          if a < 0 || a >= Array.length m.arrays then
-            raise (Fault (Printf.sprintf "array %d out of range" a));
-          let arr = m.arrays.(a) in
-          let v = pop m in
-          let i = pop m in
-          if i < 0 || i >= Array.length arr then
-            raise
-              (Fault
-                 (Printf.sprintf "index %d out of bounds for %s[%d]" i
-                    (fst m.o.Objfile.arrays.(a))
-                    (Array.length arr)));
-          arr.(i) <- v;
-          m.pc <- m.pc + 1
-        | Instr.Alu op ->
-          let b = pop m in
-          let a = pop m in
-          push m (alu_apply op a b);
-          m.pc <- m.pc + 1
-        | Instr.Unop Neg ->
-          push m (-pop m);
-          m.pc <- m.pc + 1
-        | Instr.Unop Not ->
-          push m (if pop m = 0 then 1 else 0);
-          m.pc <- m.pc + 1
-        | Instr.Jump target -> m.pc <- target
-        | Instr.Jumpz target -> if pop m = 0 then m.pc <- target else m.pc <- m.pc + 1
-        | Instr.Call (target, nargs) -> do_call m ~target ~nargs ~ret_pc:(m.pc + 1)
-        | Instr.Calli nargs ->
-          let target = pop m in
-          do_call m ~target ~nargs ~ret_pc:(m.pc + 1)
-        | Instr.Funref addr ->
-          push m addr;
-          m.pc <- m.pc + 1
-        | Instr.Enter extra ->
-          let fr = cur_frame m in
-          if extra < 0 then raise (Fault "negative local count");
-          if extra > 0 then begin
-            let bigger = Array.make (Array.length fr.locals + extra) 0 in
-            Array.blit fr.locals 0 bigger 0 (Array.length fr.locals);
-            fr.locals <- bigger
-          end;
-          m.pc <- m.pc + 1
-        | Instr.Mcount ->
-          if m.monitoring then begin
-            let fr = cur_frame m in
-            let frompc = fr.ret_pc - 1 in
-            let cost = Monitor.record m.monitor ~frompc ~selfpc:fr.func_entry in
-            m.cycles <- m.cycles + cost;
-            m.mcount_cycles <- m.mcount_cycles + cost
-          end;
-          m.pc <- m.pc + 1
-        | Instr.Pcount f ->
-          if m.monitoring then begin
-            if f < 0 || f >= Array.length m.pcounts then
-              raise (Fault (Printf.sprintf "pcount id %d out of range" f));
-            m.pcounts.(f) <- m.pcounts.(f) + 1
-          end;
-          m.pc <- m.pc + 1
-        | Instr.Ret -> do_ret m
-        | Instr.Pop ->
-          ignore (pop m);
-          m.pc <- m.pc + 1
-        | Instr.Syscall sc ->
-          (match sc with
-          | Instr.Sys_print ->
-            let v = pop m in
-            Buffer.add_string m.out (string_of_int v);
-            Buffer.add_char m.out '\n';
-            push m v
-          | Instr.Sys_putc ->
-            let v = pop m in
-            Buffer.add_char m.out (Char.chr (((v mod 256) + 256) mod 256));
-            push m v
-          | Instr.Sys_rand ->
-            let bound = pop m in
-            push m (if bound <= 0 then 0 else Util.Prng.int m.prng bound)
-          | Instr.Sys_cycles -> push m m.cycles);
-          m.pc <- m.pc + 1
-        | Instr.Halt ->
-          m.status <- Halted;
-          m.result <- Some 0);
-        service_ticks m ~at_pc;
-        (match (m.status, m.oracle) with
-        | Halted, Some orc -> Oracle.finish orc ~now:m.cycles
-        | _ -> ());
-        m.status
-      with Fault reason ->
-        m.pc <- at_pc;
-        fault m reason
-    end)
+  (match m.status with
+  | Running ->
+    (try exec m with Fault reason -> fault m reason);
+    finish m
+  | Halted | Faulted _ -> ());
+  m.status
 
-let run m =
-  let rec go () = match step m with Running -> go () | s -> s in
-  go ()
+(* [run] and [run_cycles]: one exception handler per call, not per
+   instruction. *)
+let run_until m stop_at =
+  (match m.status with
+  | Running ->
+    (try
+       while m.status == Running && m.cycles < stop_at do
+         exec m
+       done
+     with Fault reason -> fault m reason);
+    finish m
+  | Halted | Faulted _ -> ());
+  m.status
 
-let run_cycles m budget =
-  let stop_at = m.cycles + budget in
-  let rec go () =
-    if m.cycles >= stop_at then m.status
-    else match step m with Running -> go () | s -> s
-  in
-  go ()
+let run m = run_until m max_int
+
+let run_cycles m budget = run_until m (m.cycles + budget)

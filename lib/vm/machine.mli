@@ -81,6 +81,18 @@ type status = Running | Halted | Faulted of fault
 type t
 
 val create : ?config:config -> Objcode.Objfile.t -> t
+(** Verify the object code ({!Objcode.Verify.check}) and set up a
+    machine at its entry point. Verified code then runs without the
+    per-instruction checks verification proves; the faults left to run
+    time are an array index out of bounds, division by zero, a [calli]
+    target outside the text or not a function entry, a local slot out
+    of range in a frame entered through [calli] with fewer arguments
+    than its body reads, the depth limit, the cycle limit, and the
+    injected fault.
+    @raise Invalid_argument on an empty text segment, a non-positive
+    [epoch_ticks], or refused code, with the verifier's located
+    message: ["Machine.create: main+2 (pc 77): operand stack
+    underflow"]. *)
 
 val obj : t -> Objcode.Objfile.t
 
@@ -92,7 +104,9 @@ val run : t -> status
 
 val run_cycles : t -> int -> status
 (** [run_cycles m n] runs until at least [n] more cycles have elapsed
-    (or halt/fault). Returns [Running] if the budget expired. *)
+    (or halt/fault): it stops before the first instruction that would
+    start at or past the budget. Returns [Running] if the budget
+    expired. *)
 
 val status : t -> status
 
@@ -122,7 +136,8 @@ val mcount_cycles : t -> int
 (** Total cycles charged by the monitoring routine so far. *)
 
 val instructions_executed : t -> int
-(** Instructions dispatched so far; 0 when [metrics] is off. *)
+(** Instructions dispatched so far, summed from the per-address
+    execution counts the [metrics] keep; 0 when [metrics] is off. *)
 
 val dispatch_counts : t -> (string * int) list
 (** Execution count per {!Objcode.Instr.group}, as

@@ -698,6 +698,84 @@ let test_bad_inputs_fail_cleanly () =
   (* a source file is not a gmon file *)
   check_bool "gprofx rejects non-gmon data" true (code <> 0)
 
+(* A hand-written image: [one] returns its argument, [main] prints
+   one(7). Each crafted variant breaks one operand the way a damaged
+   file could; every tool must refuse it with a located message
+   instead of dying with an uncaught exception (exit 125). *)
+let crafted_base =
+  "MINIOBJ 1\nsource crafted\nentry 4\nsymbol one 0 4 0\nsymbol main 4 5 0\n\
+   text 9\nenter 0\nload 0\nret\nnop\nconst 7\ncall 0 1\n\
+   syscall print\npop\nhalt\n"
+
+let replace ~sub ~by s =
+  let n = String.length sub in
+  let rec go i =
+    if String.sub s i n = sub then
+      String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+    else go (i + 1)
+  in
+  go 0
+
+let test_crafted_objects_refused () =
+  let write name contents =
+    let p = path name in
+    Out_channel.with_open_text p (fun oc -> Out_channel.output_string oc contents);
+    p
+  in
+  let base = write "crafted.obj" crafted_base and gmon = path "crafted.gmon" in
+  let code, out = run_cmd [ exe "minirun"; base; "--gmon"; gmon ] in
+  check_int "the intact image runs" 0 code;
+  check_bool "and prints one(7)" true (contains ~needle:"7" out);
+  let watch_dir = path "crafted_watch" in
+  if not (Sys.file_exists watch_dir) then Sys.mkdir watch_dir 0o755;
+  Out_channel.with_open_bin (Filename.concat watch_dir "run.gmon") (fun oc ->
+      Out_channel.output_string oc
+        (In_channel.with_open_bin gmon In_channel.input_all));
+  List.iter
+    (fun (name, contents, message) ->
+      let obj = write name contents in
+      let expect_refusal tool code want =
+        check_int (Printf.sprintf "%s on %s exits %d" tool name want) want code;
+        if want = 1 then
+          check_bool (Printf.sprintf "%s names the fault" tool) true
+            (contains ~needle:message (stderr_text ()))
+      in
+      let code, _ = run_cmd [ exe "minirun"; obj; "--gmon"; path "crafted_x.gmon" ] in
+      expect_refusal "minirun" code 1;
+      let code, _ = run_cmd [ exe "kgmonx"; obj; "run-to-end" ] in
+      expect_refusal "kgmonx" code 1;
+      let code, _ = run_cmd [ exe "gprofx"; obj; gmon ] in
+      expect_refusal "gprofx" code 1;
+      let code, _ = run_cmd [ exe "profx"; obj; gmon ] in
+      expect_refusal "profx" code 1;
+      let code, _ = run_cmd [ exe "profdiff"; obj; gmon; obj; gmon ] in
+      expect_refusal "profdiff" code 1;
+      let code, _ = run_cmd [ exe "profwatch"; obj; watch_dir ] in
+      expect_refusal "profwatch" code 1;
+      let code, out = run_cmd [ exe "proflint"; obj; gmon ] in
+      expect_refusal "proflint" code 2;
+      check_bool "proflint reports binary-invalid" true
+        (contains ~needle:("[binary-invalid] " ^ message) out))
+    [
+      ( "crafted_neg_array.obj",
+        replace ~sub:"text 9" ~by:"array 0 t -1\ntext 9" crafted_base,
+        "array t has negative length -1" );
+      ( "crafted_neg_arity.obj",
+        replace ~sub:"call 0 1" ~by:"call 0 -1" crafted_base,
+        "main+1 (pc 5): call arity -1 outside [0, 65535]" );
+      ( "crafted_huge_enter.obj",
+        replace ~sub:"enter 0" ~by:"enter 100000000000000" crafted_base,
+        "one+0 (pc 0): enter count 100000000000000 outside [0, 65535]" );
+    ];
+  (* code the operand-stack verifier refuses never starts running *)
+  let obj =
+    write "crafted_underflow.obj" (replace ~sub:"const 7" ~by:"pop" crafted_base)
+  in
+  let code, _ = run_cmd [ exe "minirun"; obj; "--gmon"; path "crafted_x.gmon" ] in
+  check_int "minirun refuses unbalanced code" 1 code;
+  check_bool "with the verifier's located message" true
+    (contains ~needle:"main+0 (pc 4): operand stack underflow" (stderr_text ()))
+
 let () =
   Alcotest.run "cli"
     [
@@ -718,5 +796,6 @@ let () =
           Alcotest.test_case "profd daemon" `Slow test_profd_cli;
           Alcotest.test_case "proftop telemetry" `Slow test_proftop_cli;
           Alcotest.test_case "bad inputs" `Slow test_bad_inputs_fail_cleanly;
+          Alcotest.test_case "crafted objects" `Slow test_crafted_objects_refused;
         ] );
     ]

@@ -81,18 +81,37 @@ let test_compile_errors () =
       "fun main() { return f(; }" (* parse error *);
     ]
 
+(* Every program the repository ships, in every build it is made in,
+   passes the VM's load-time verification. *)
 let test_validated_output () =
+  let fixtures =
+    List.map
+      (fun f ->
+        let p = Filename.concat "fixtures" f in
+        (p, In_channel.with_open_text p In_channel.input_all))
+      [ "smoke.mini"; "smoke_slow.mini"; "smoke_mismatched.mini"; "pgo_matrix.mini" ]
+  in
+  let builds =
+    Compile.Codegen.
+      [
+        default_options; profiling_options; { default_options with count = true };
+        { profiling_options with fold = true };
+      ]
+  in
   List.iter
-    (fun (w : Workloads.Programs.t) ->
-      let o =
-        match Workloads.Driver.compile w with
-        | Ok o -> o
-        | Error e -> Alcotest.failf "%s: %s" w.w_name e
-      in
-      match Objcode.Objfile.validate o with
-      | Ok () -> ()
-      | Error es -> Alcotest.failf "%s: %s" w.w_name (String.concat "; " es))
-    Workloads.Programs.all
+    (fun (name, src) ->
+      List.iter
+        (fun options ->
+          match Compile.Codegen.compile_source ~options src with
+          | Error e -> Alcotest.failf "%s: %s" name e
+          | Ok o -> (
+            match Objcode.Verify.check o with
+            | Ok _ -> ()
+            | Error es -> Alcotest.failf "%s: %s" name (String.concat "; " es)))
+        builds)
+    (List.map (fun (w : Workloads.Programs.t) -> (w.w_name, w.w_source))
+       Workloads.Programs.all
+    @ fixtures)
 
 (* ------------------------------------------------------------------ *)
 (* Semantics, executed *)

@@ -4,6 +4,11 @@
    well-formed program a generator can produce. *)
 
 
+let contains ~needle haystack =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  nl = 0 || go 0
+
 (* ------------------------------------------------------------------ *)
 (* Random text into the parsers *)
 
@@ -309,28 +314,254 @@ let transformed_random_programs_agree =
       | Some r -> folded = Some r && inlined = Some r)
 
 (* ------------------------------------------------------------------ *)
+(* Parity: the verified VM against the reference interpreter *)
+
+(* Everything a run leaves observable, gathered the same way from
+   either machine. *)
+type outcome = {
+  status : Vm.Machine.status;
+  result : int option;
+  output : string;
+  gmon : string;
+  icounts : int array option;
+  pcounts : int array;
+  cycles : int;
+  ticks : int;
+  instructions : int;
+  dispatch : (string * int) list;
+  mcount_cycles : int;
+  sprof : string option;
+  epochs : string option;
+  oracle : (int * Vm.Oracle.fun_stat) list option;
+  slices : (Vm.Machine.status * int) list;
+      (* status and cycle count after each run_cycles slice *)
+}
+
+(* How a run is driven: to the end, in run_cycles slices of a budget,
+   or one step at a time. *)
+type drive = Run | Slices of int | Steps
+
+module Observe (M : sig
+  type t
+
+  val create : ?config:Vm.Machine.config -> Objcode.Objfile.t -> t
+  val run : t -> Vm.Machine.status
+  val run_cycles : t -> int -> Vm.Machine.status
+  val step : t -> Vm.Machine.status
+  val cycles : t -> int
+  val ticks : t -> int
+  val result : t -> int option
+  val output : t -> string
+  val profile : t -> Gmon.t
+  val instruction_counts : t -> int array option
+  val pcounts : t -> int array
+  val instructions_executed : t -> int
+  val dispatch_counts : t -> (string * int) list
+  val mcount_cycles : t -> int
+  val sprof : t -> Gmon.Sprof.t option
+  val epochs : t -> Gmon.Epoch.t option
+  val the_oracle : t -> Vm.Oracle.t option
+end) =
+struct
+  let run drive config o =
+    let m = M.create ~config o in
+    let rec slices acc n =
+      match M.run_cycles m n with
+      | Vm.Machine.Running -> slices ((Vm.Machine.Running, M.cycles m) :: acc) n
+      | s -> (s, List.rev ((s, M.cycles m) :: acc))
+    in
+    let rec steps () =
+      match M.step m with Vm.Machine.Running -> steps () | s -> (s, [])
+    in
+    let status, slices =
+      match drive with
+      | Run -> (M.run m, [])
+      | Slices n -> slices [] n
+      | Steps -> steps ()
+    in
+    {
+      status;
+      result = M.result m;
+      output = M.output m;
+      gmon = Gmon.to_bytes (M.profile m);
+      icounts = M.instruction_counts m;
+      pcounts = M.pcounts m;
+      cycles = M.cycles m;
+      ticks = M.ticks m;
+      instructions = M.instructions_executed m;
+      dispatch = M.dispatch_counts m;
+      mcount_cycles = M.mcount_cycles m;
+      sprof = Option.map Gmon.Sprof.to_bytes (M.sprof m);
+      epochs = Option.map Gmon.Epoch.to_bytes (M.epochs m);
+      oracle = Option.map Vm.Oracle.fun_stats (M.the_oracle m);
+      slices;
+    }
+end
+
+module Verified = Observe (Vm.Machine)
+module Reference = Observe (Ref_machine)
+
+let status_to_string = function
+  | Vm.Machine.Running -> "running"
+  | Halted -> "halted"
+  | Faulted f -> Format.asprintf "%a" Vm.Machine.pp_fault f
+
+(* Which observable differs, for the failure report. *)
+let first_difference a b =
+  let fields =
+    [
+      ("status", a.status = b.status); ("result", a.result = b.result);
+      ("output", a.output = b.output); ("gmon bytes", a.gmon = b.gmon);
+      ("icounts", a.icounts = b.icounts); ("pcounts", a.pcounts = b.pcounts);
+      ("cycles", a.cycles = b.cycles); ("ticks", a.ticks = b.ticks);
+      ("instructions", a.instructions = b.instructions);
+      ("dispatch", a.dispatch = b.dispatch);
+      ("mcount cycles", a.mcount_cycles = b.mcount_cycles);
+      ("sprof", a.sprof = b.sprof); ("epochs", a.epochs = b.epochs);
+      ("oracle", a.oracle = b.oracle); ("run_cycles slices", a.slices = b.slices);
+    ]
+  in
+  List.find_map (fun (name, same) -> if same then None else Some name) fields
+
+let parity_error drive config o =
+  let v = Verified.run drive config o and r = Reference.run drive config o in
+  Option.map
+    (fun what ->
+      Printf.sprintf "%s differs (verified: %s, %d cycles; reference: %s, %d cycles)"
+        what (status_to_string v.status) v.cycles (status_to_string r.status)
+        r.cycles)
+    (first_difference v r)
+
+let check_parity drive config o =
+  match parity_error drive config o with
+  | None -> true
+  | Some e -> QCheck.Test.fail_report e
+
+(* Every knob the dispatch loop treats specially: instruction counts,
+   stack sampling, jittered ticks, epochs, the injected fault, the
+   cycle cap, keying, bucket size, metrics and oracle on or off. *)
+let config_gen =
+  QCheck.Gen.(
+    let* cycles_per_tick = oneofl [ 97; 1_000; 16_666 ] in
+    let* hist_bucket_size = oneofl [ 1; 4 ] in
+    let* keying = oneofl Vm.Monitor.[ Site_primary; Callee_primary ] in
+    let* count_instructions = bool in
+    let* metrics = bool in
+    let* oracle = bool in
+    let* stack_interval = opt (int_range 1 3) in
+    let* tick_jitter = oneofl [ 0.0; 0.3 ] in
+    let* seed = int_range 1 1_000 in
+    let* max_cycles = oneofl [ Some 3_000_000; Some 40_000 ] in
+    let* max_depth = oneofl [ 2; 4; 100_000 ] in
+    let* fault_after_instr = opt (int_range 0 20_000) in
+    let* epoch_ticks = opt (int_range 1 8) in
+    let* drive =
+      frequency
+        [ (2, return Run); (2, map (fun n -> Slices n) (int_range 50 20_000));
+          (1, return Steps) ]
+    in
+    return
+      ( { Vm.Machine.default_config with
+          cycles_per_tick; hist_bucket_size; keying; count_instructions; metrics;
+          oracle; stack_interval; tick_jitter; seed; max_cycles; max_depth;
+          fault_after_instr; epoch_ticks },
+        drive ))
+
+let print_config ((c : Vm.Machine.config), drive) =
+  let opt = function None -> "-" | Some n -> string_of_int n in
+  let drive =
+    match drive with
+    | Run -> "run"
+    | Slices n -> Printf.sprintf "run_cycles %d" n
+    | Steps -> "step"
+  in
+  Printf.sprintf
+    "cpt=%d bucket=%d callee=%b icounts=%b metrics=%b oracle=%b stack=%s \
+     jitter=%g seed=%d max_cycles=%s max_depth=%d fault_after=%s epochs=%s \
+     drive=%s"
+    c.cycles_per_tick c.hist_bucket_size (c.keying = Vm.Monitor.Callee_primary)
+    c.count_instructions c.metrics c.oracle (opt c.stack_interval) c.tick_jitter
+    c.seed (opt c.max_cycles) c.max_depth (opt c.fault_after_instr)
+    (opt c.epoch_ticks) drive
+
+(* The four builds the repository emits: plain, -pg, prof counters,
+   and constant-folded. *)
+let builds =
+  Compile.Codegen.
+    [
+      ("plain", default_options); ("pg", profiling_options);
+      ("count", { default_options with count = true });
+      ("fold", { profiling_options with fold = true });
+    ]
+
+let compile_build options src =
+  match Compile.Codegen.compile_source ~options src with
+  | Ok o -> o
+  | Error e -> QCheck.Test.fail_reportf "compile: %s" e
+
+let parity_on_random_programs =
+  QCheck.Test.make ~name:"VM parity: verified dispatch = reference interpreter"
+    ~count:80
+    (QCheck.make
+       ~print:(fun (src, b, cfg) ->
+         Printf.sprintf "build %s, %s\n%s" (fst (List.nth builds b))
+           (print_config cfg) src)
+       QCheck.Gen.(triple program_gen (int_bound 3) config_gen))
+    (fun (src, b, (config, drive)) ->
+      check_parity drive config (compile_build (snd (List.nth builds b)) src))
+
+(* Every stock workload in every build, each under a config drawn from
+   a fixed seed; runs are capped at 1.5M cycles to bound the time. *)
+let test_parity_on_workloads () =
+  let rand = Random.State.make [| 20261017 |] in
+  List.iter
+    (fun (w : Workloads.Programs.t) ->
+      List.iter
+        (fun (build, options) ->
+          let config, drive = config_gen rand in
+          let config =
+            { config with
+              max_cycles = Some 1_500_000;
+              cycles_per_tick = max 1_000 config.cycles_per_tick }
+          in
+          let o = compile_build options w.w_source in
+          Option.iter
+            (fun e ->
+              Alcotest.failf "%s/%s under %s: %s" w.w_name build
+                (print_config (config, drive)) e)
+            (parity_error drive config o))
+        builds)
+    Workloads.Programs.all
+
+(* ------------------------------------------------------------------ *)
 (* Corrupted executables into the VM *)
 
 let corrupt_instr_gen =
   QCheck.Gen.(
     let* which = int_range 0 10_000 in
-    let* op = int_range 0 9 in
-    let* operand = int_range (-5) 2000 in
+    let* op = int_range 0 14 in
+    let* operand =
+      oneof
+        [
+          int_range (-5) 2000;
+          oneofl
+            [ min_int; -100_000_000_000_000; -65_536; 65_535; 65_536;
+              100_000_000_000_000; max_int ];
+        ]
+    in
     return (which, op, operand))
 
+(* A corrupted image is either refused at load, with a message that
+   locates the offending instruction, or runs exactly as the reference
+   interpreter runs it. *)
 let vm_survives_corrupt_code =
-  QCheck.Test.make ~name:"VM: corrupted object code faults cleanly" ~count:300
+  QCheck.Test.make ~name:"VM: corrupted object code faults cleanly" ~count:400
     (QCheck.make
        ~print:(fun (a, b, c) -> Printf.sprintf "(%d,%d,%d)" a b c)
        corrupt_instr_gen)
     (fun (which, op, operand) ->
       let o =
-        match
-          Compile.Codegen.compile_source ~options:Compile.Codegen.profiling_options
-            Workloads.Programs.quick.w_source
-        with
-        | Ok o -> o
-        | Error _ -> assert false
+        compile_build Compile.Codegen.profiling_options Workloads.Programs.quick.w_source
       in
       let text = Array.copy o.Objcode.Objfile.text in
       let pos = which mod Array.length text in
@@ -339,29 +570,35 @@ let vm_survives_corrupt_code =
         | 0 -> Jump operand
         | 1 -> Jumpz operand
         | 2 -> Call (operand, 1)
-        | 3 -> Calli 3
+        | 3 -> Calli (operand mod 4)
         | 4 -> Load operand
         | 5 -> Store operand
         | 6 -> Aload operand
         | 7 -> Gload operand
         | 8 -> Ret
+        | 9 -> Enter operand
+        | 10 -> Calli operand
+        | 11 -> Funref operand
+        | 12 -> Halt
+        | 13 -> Const operand
         | _ -> Pop
       in
       text.(pos) <- evil;
       let o = { o with Objcode.Objfile.text } in
-      (* validation may reject it outright; if it passes, the VM must
-         reach a clean terminal state under the cycle cap *)
-      match Objcode.Objfile.validate o with
-      | Error _ -> true
-      | Ok () -> (
-        let m =
-          Vm.Machine.create
-            ~config:{ Vm.Machine.default_config with max_cycles = Some 3_000_000 }
-            o
+      let config =
+        { Vm.Machine.default_config with
+          max_cycles = Some 3_000_000; max_depth = 200; oracle = true }
+      in
+      match Vm.Machine.create ~config o with
+      | exception Invalid_argument msg ->
+        let located =
+          List.exists
+            (fun pc -> contains ~needle:(Objcode.Objfile.location o pc) msg)
+            (List.init (Array.length text) Fun.id)
         in
-        match Vm.Machine.run m with
-        | Vm.Machine.Halted | Vm.Machine.Faulted _ -> true
-        | Vm.Machine.Running -> false))
+        if not located then QCheck.Test.fail_reportf "refusal names no pc: %s" msg;
+        true
+      | _ -> check_parity Run config o)
 
 (* Arc records pointing anywhere must not break the analyzer. *)
 let analyzer_survives_junk_arcs =
@@ -401,4 +638,8 @@ let () =
         [ qt pipeline_on_random_programs; qt transformed_random_programs_agree ] );
       ( "corrupted state",
         [ qt vm_survives_corrupt_code; qt analyzer_survives_junk_arcs ] );
+      ( "parity",
+        [ qt parity_on_random_programs;
+          Alcotest.test_case "stock workloads, every build" `Slow
+            test_parity_on_workloads ] );
     ]

@@ -194,6 +194,103 @@ let test_objfile_validate () =
   | Ok () -> Alcotest.fail "overlapping symbols accepted"
 
 (* ------------------------------------------------------------------ *)
+(* Verify *)
+
+(* Functions laid out back to back; the first is the entry. *)
+let image ?(arrays = [||]) funs =
+  let addr = ref 0 in
+  let symbols =
+    List.map
+      (fun (name, body) ->
+        let s =
+          { Objfile.name; addr = !addr; size = Array.length body; profiled = false }
+        in
+        addr := !addr + Array.length body;
+        s)
+      funs
+  in
+  {
+    Objfile.text = Array.concat (List.map snd funs);
+    symbols = Array.of_list symbols;
+    entry = 0;
+    globals = [||];
+    global_init = [||];
+    arrays;
+    lines = [||];
+    source_name = "verify";
+  }
+
+let test_verify_accepts () =
+  (match Verify.check (fixture ()) with
+  | Ok _ -> ()
+  | Error es -> Alcotest.fail (String.concat "; " es));
+  (* [callee] is reached only through calli and reads slot 2: frames
+     need three arguments to skip the run-time slot check *)
+  let o =
+    image
+      [
+        ("main", [| Const 1; Const 2; Call (6, 2); Funref 10; Calli 0; Ret |]);
+        ("add", [| Load 0; Load 1; Alu Add; Ret |]);
+        ("callee", [| Load 2; Ret |]);
+      ]
+  in
+  match Verify.check o with
+  | Error es -> Alcotest.fail (String.concat "; " es)
+  | Ok v ->
+    check_int "deepest operand stack" 2 v.max_stack;
+    Alcotest.(check (array int)) "arguments each body needs" [| 0; 2; 3 |] v.min_args
+
+let test_verify_refuses () =
+  List.iter
+    (fun (what, funs, expected) ->
+      match Verify.check (image funs) with
+      | Ok _ -> Alcotest.failf "%s accepted" what
+      | Error es -> Alcotest.(check (list string)) what [ expected ] es)
+    [
+      ( "underflow", [ ("main", [| Const 1; Alu Add; Ret |]) ],
+        "main+1 (pc 1): operand stack underflow" );
+      ( "ret with nothing", [ ("main", [| Nop; Ret |]) ],
+        "main+1 (pc 1): return with no value on the operand stack" );
+      ( "falling off the end", [ ("main", [| Const 0; Ret |]); ("f", [| Const 1 |]) ],
+        "f+0 (pc 2): control falls through the end of the function" );
+      ( "heights disagree at a join",
+        [ ("main", [| Const 1; Jumpz 3; Const 5; Const 0; Ret |]) ],
+        "main+3 (pc 3): paths join with operand stack heights 0 and 1, enter \
+         totals 0 and 0" );
+      ( "enter inside a loop", [ ("main", [| Enter 1; Jump 0 |]) ],
+        "main+0 (pc 0): paths join with operand stack heights 0 and 0, enter \
+         totals 0 and 1" );
+      ( "slot past a direct call's arity",
+        [ ("main", [| Const 1; Call (3, 1); Ret |]); ("f", [| Load 1; Ret |]) ],
+        "f+0 (pc 3): local slot 1 out of range (1 locals)" );
+      ( "slot past main's locals", [ ("main", [| Enter 1; Load 1; Ret |]) ],
+        "main+1 (pc 1): local slot 1 out of range (1 locals)" );
+    ];
+  (* validation runs first, and its per-instruction errors are located
+     the same way *)
+  match Verify.check (image [ ("main", [| Const 0; Call (0, -1); Ret |]) ]) with
+  | Error es ->
+    Alcotest.(check (list string)) "negative arity"
+      [ "main+1 (pc 1): call arity -1 outside [0, 65535]" ] es
+  | Ok _ -> Alcotest.fail "negative arity accepted"
+
+let test_validate_operand_ranges () =
+  let bad what o =
+    match Objfile.validate o with
+    | Error _ -> ()
+    | Ok () -> Alcotest.failf "%s accepted" what
+  in
+  let main body = image [ ("main", body) ] in
+  bad "negative array length" (image ~arrays:[| ("t", -1) |] [ ("main", [| Halt |]) ]);
+  bad "negative calli arity" (main [| Calli (-1); Ret |]);
+  bad "huge enter" (main [| Enter 100_000_000_000_000; Halt |]);
+  bad "negative enter" (main [| Enter (-1); Halt |]);
+  bad "negative slot" (main [| Load (-1); Ret |]);
+  match Objfile.validate (main [| Enter Objfile.max_locals; Halt |]) with
+  | Ok () -> ()
+  | Error es -> Alcotest.fail (String.concat "; " es)
+
+(* ------------------------------------------------------------------ *)
 (* Asm errors *)
 
 let asm_base =
@@ -342,6 +439,12 @@ let () =
           Alcotest.test_case "file roundtrip" `Quick test_objfile_save_load;
           Alcotest.test_case "parse errors" `Quick test_objfile_parse_errors;
           Alcotest.test_case "validate" `Quick test_objfile_validate;
+        ] );
+      ( "verify",
+        [
+          Alcotest.test_case "accepts" `Quick test_verify_accepts;
+          Alcotest.test_case "refuses" `Quick test_verify_refuses;
+          Alcotest.test_case "operand ranges" `Quick test_validate_operand_ranges;
         ] );
       ("asm", [ Alcotest.test_case "errors" `Quick test_asm_errors ]);
       ("disasm", [ Alcotest.test_case "listing" `Quick test_disasm ]);

@@ -355,10 +355,18 @@ let expect_fault o fragment =
        go 0)
   | _ -> Alcotest.fail "expected a fault"
 
+(* Code the load-time verifier refuses never runs: Machine.create
+   raises with a message naming the function, offset, and pc. *)
+let expect_refused o expected =
+  match Vm.Machine.create o with
+  | _ -> Alcotest.fail "expected the verifier to refuse the image"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "refusal message" ("Machine.create: " ^ expected) msg
+
 let test_fault_stack_underflow () =
-  expect_fault
+  expect_refused
     (assemble [ asm_fun "main" [ Objcode.Asm.Ins Objcode.Asm.APop ] ])
-    "underflow"
+    "main+0 (pc 0): operand stack underflow"
 
 let test_fault_division_by_zero () =
   expect_fault
@@ -393,12 +401,34 @@ let test_fault_bad_indirect_target () =
     "not a function entry"
 
 let test_fault_local_out_of_range () =
-  expect_fault
+  expect_refused
     (assemble
        [ asm_fun "main"
            [ Objcode.Asm.Ins (Objcode.Asm.ALoad 3);
              Objcode.Asm.Ins Objcode.Asm.ARet ] ])
-    "local slot"
+    "main+0 (pc 0): local slot 3 out of range (0 locals)"
+
+(* A frame entered through calli with fewer arguments than its body
+   reads keeps the run-time slot check; the same body entered with
+   enough arguments runs clean. *)
+let test_fault_calli_local_slot () =
+  let prog nargs =
+    assemble
+      [
+        asm_fun "main"
+          (List.init nargs (fun _ -> Objcode.Asm.Ins (Objcode.Asm.AConst 5))
+          @ [ Objcode.Asm.Ins (Objcode.Asm.AFunref "second");
+              Objcode.Asm.Ins (Objcode.Asm.ACalli nargs);
+              Objcode.Asm.Ins Objcode.Asm.ARet ]);
+        asm_fun "second"
+          [ Objcode.Asm.Ins (Objcode.Asm.ALoad 1); Objcode.Asm.Ins Objcode.Asm.ARet ];
+      ]
+  in
+  expect_fault (prog 1) "local slot 1 out of range";
+  let m = Vm.Machine.create (prog 2) in
+  check_bool "two arguments suffice" true (Vm.Machine.run m = Vm.Machine.Halted);
+  Alcotest.(check (option int)) "returns its second argument" (Some 5)
+    (Vm.Machine.result m)
 
 let test_fault_depth_limit () =
   let o =
@@ -697,6 +727,7 @@ let () =
           Alcotest.test_case "array bounds" `Quick test_fault_array_bounds;
           Alcotest.test_case "bad indirect target" `Quick test_fault_bad_indirect_target;
           Alcotest.test_case "local out of range" `Quick test_fault_local_out_of_range;
+          Alcotest.test_case "calli frame local slot" `Quick test_fault_calli_local_slot;
           Alcotest.test_case "depth limit" `Quick test_fault_depth_limit;
           Alcotest.test_case "cycle limit" `Quick test_fault_cycle_limit;
         ] );
