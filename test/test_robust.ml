@@ -36,6 +36,10 @@ let sample =
    yields a profile. *)
 let header_end = 11 + (7 * 8)
 
+(* ... then twelve buckets and the stored arc count: a cut at or past
+   this point has read the count, so every arc is accounted for. *)
+let arc_count_end = header_end + (12 * 8) + 8
+
 (* [sub] never invents data: same geometry, every bucket count and
    every arc bounded by (here: present in) the original. *)
 let sub_profile (s : Gmon.t) (o : Gmon.t) =
@@ -76,7 +80,12 @@ let test_truncate_everywhere () =
         true (sub_profile g sample);
       check_bool
         (Printf.sprintf "cut %d: report degraded" cut)
-        true (Gmon.report_degraded rep)
+        true (Gmon.report_degraded rep);
+      if cut >= arc_count_end then
+        check_int
+          (Printf.sprintf "cut %d: kept + dropped arcs = stored" cut)
+          (List.length sample.arcs)
+          (List.length g.arcs + rep.Gmon.r_dropped_arcs)
     | Error _ ->
       check_bool
         (Printf.sprintf "cut %d: only header damage is unrecoverable" cut)
@@ -133,6 +142,37 @@ let test_strict_errors_carry_offsets () =
     check_bool "message names the file" true (has "some.gmon");
     check_bool "message has a byte offset" true (has "at byte ")
   | Ok _ -> Alcotest.fail "torn file accepted"
+
+(* A flipped geometry field must not shift the record grid: with
+   highpc raised from 12 to 20 the geometry implies 20 buckets, and
+   reading on would take the stored count and all three arc records as
+   buckets 12..19. The stored count is header, so both modes refuse
+   it — strict too when the checksum is recomputed over the flip. *)
+let test_header_flip_refused () =
+  let b = Bytes.of_string (Gmon.to_bytes sample) in
+  check_int "highpc byte" 12 (Char.code (Bytes.get b 19));
+  Bytes.set b 19 (Char.chr 20);
+  let flipped = Bytes.to_string b in
+  let refooted =
+    let buf = Buffer.create 256 in
+    Buffer.add_string buf (String.sub flipped 0 (String.length flipped - 16));
+    Gmon.Wire.add_footer buf;
+    Buffer.contents buf
+  in
+  List.iter
+    (fun (name, mode, s) ->
+      match Gmon.decode ~mode s with
+      | Ok (g, rep) ->
+        Alcotest.failf "%s: accepted a %d-bucket profile (%s)" name
+          (Array.length g.hist.h_counts) (Gmon.report_summary rep)
+      | Error e ->
+        check_int (name ^ ": offset") 59 e.de_offset;
+        Alcotest.(check string) (name ^ ": context") "bucket count" e.de_context)
+    [
+      ("salvage", `Salvage, flipped);
+      ("salvage, checksum recomputed", `Salvage, refooted);
+      ("strict, checksum recomputed", `Strict, refooted);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Salvaged data keeps working downstream *)
@@ -409,6 +449,7 @@ let () =
           Alcotest.test_case "flip everywhere" `Quick test_flip_everywhere;
           Alcotest.test_case "errors carry offsets" `Quick
             test_strict_errors_carry_offsets;
+          Alcotest.test_case "header flip refused" `Quick test_header_flip_refused;
           Alcotest.test_case "salvaged merges with clean" `Quick
             test_salvaged_merges_with_clean;
         ] );
