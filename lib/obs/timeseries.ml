@@ -13,16 +13,6 @@
    costs exactly the damaged lines — the reader reports them and
    keeps the rest. *)
 
-let fnv64 s =
-  let offset_basis = 0xcbf29ce484222325L and prime = 0x100000001b3L in
-  let h = ref offset_basis in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
-
 type record = { r_seq : int; r_ts : float; r_metrics : Snapshot.t }
 
 let prefix_len = String.length {|{"crc":"0123456789abcdef","rec":|}
@@ -32,7 +22,7 @@ let encode_line ~seq ~ts snapshot =
     Printf.sprintf {|{"seq":%d,"ts":%.6f,"metrics":%s}|} seq ts
       (Snapshot.to_json snapshot)
   in
-  Printf.sprintf {|{"crc":"%016Lx","rec":%s}|} (fnv64 rec_json) rec_json
+  Printf.sprintf {|{"crc":"%016Lx","rec":%s}|} (Util.Fnv.fnv1a64 rec_json) rec_json
 
 let decode_line line =
   let n = String.length line in
@@ -48,7 +38,8 @@ let decode_line line =
     match Int64.of_string_opt ("0x" ^ crc_hex) with
     | None -> Error "crc is not 16 hex digits"
     | Some crc ->
-      if fnv64 rec_json <> crc then Error "checksum mismatch (corrupt record)"
+      if Util.Fnv.fnv1a64 rec_json <> crc then
+        Error "checksum mismatch (corrupt record)"
       else
         let ( let* ) = Result.bind in
         let* v = Jsonin.parse rec_json in

@@ -511,7 +511,7 @@ let quarantine_dir t = quarantine_dir_of t.dir
 let shard_of_label t label =
   Int64.to_int
     (Int64.rem
-       (Int64.logand (Gmon.Wire.fnv1a64 label) Int64.max_int)
+       (Int64.logand (Util.Fnv.fnv1a64 label) Int64.max_int)
        (Int64.of_int t.n_shards))
 
 (* --- appending -------------------------------------------------------- *)

@@ -1,10 +1,24 @@
-(* Tests for the util library: growable vectors, PRNG determinism,
-   statistics, and table rendering. *)
+(* Tests for the util library: the FNV-1a checksum, growable vectors,
+   PRNG determinism, statistics, and table rendering. *)
 
 open Util
 
 let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
+
+(* ------------------------------------------------------------------ *)
+(* FNV-1a-64: known answers from the reference implementation *)
+
+let test_fnv_known_answers () =
+  List.iter
+    (fun (input, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "fnv1a64 %S" input)
+        want
+        (Printf.sprintf "%016Lx" (Fnv.fnv1a64 input)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ];
+  Alcotest.(check string) "prefix length" "af63dc4c8601ec8c"
+    (Printf.sprintf "%016Lx" (Fnv.fnv1a64 ~len:1 "abc"))
 
 (* ------------------------------------------------------------------ *)
 (* Growvec *)
@@ -205,6 +219,7 @@ let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
     [
+      ("fnv", [ Alcotest.test_case "known answers" `Quick test_fnv_known_answers ]);
       ( "growvec",
         [
           Alcotest.test_case "push/get" `Quick test_growvec_push_get;
