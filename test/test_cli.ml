@@ -216,6 +216,39 @@ let test_robust_cli () =
   (* clean data under --lenient is not degraded *)
   let code, _ = run_cmd [ exe "gprofx"; obj; g1; g2; "--lenient"; "--flat" ] in
   check_int "lenient over clean data exits 0" 0 code;
+  (* truncation mid-header, mid-data and inside the checksum footer:
+     strict refuses each; --lenient quarantines or salvages, exit 2 *)
+  let write name data =
+    let p = path name in
+    Out_channel.with_open_bin p (fun oc -> Out_channel.output_string oc data);
+    p
+  in
+  List.iter
+    (fun n ->
+      let cut = write (Printf.sprintf "torn_%d.gmon" n) (String.sub bytes 0 n) in
+      let code, _ = run_cmd [ exe "gprofx"; obj; cut ] in
+      check_int (Printf.sprintf "strict refuses a %d-byte cut" n) 1 code;
+      let code, _ = run_cmd [ exe "gprofx"; obj; g1; cut; "--lenient" ] in
+      check_int (Printf.sprintf "lenient degrades on a %d-byte cut" n) 2 code;
+      let err = stderr_text () in
+      check_bool
+        (Printf.sprintf "%d-byte cut quarantined or salvaged" n)
+        true
+        (contains ~needle:"quarantined" err || contains ~needle:"salvaged" err))
+    [ 40; 150; String.length bytes - 7 ];
+  (* a torn sampled profile: refused strictly, salvaged under --lenient *)
+  let sp = path "c1.sprof" in
+  ignore
+    (run_cmd
+       [ exe "minirun"; obj; "-q"; "--seed"; "1"; "--gmon"; path "c1s.gmon";
+         "--sample-ticks"; "1"; "--sample-out"; sp ]);
+  let torn_sp =
+    write "torn.sprof" (String.sub (In_channel.with_open_bin sp In_channel.input_all) 0 80)
+  in
+  let code, _ = run_cmd [ exe "gprofx"; obj; torn_sp ] in
+  check_bool "strict refuses a torn sprof" true (code <> 0);
+  let code, _ = run_cmd [ exe "gprofx"; obj; torn_sp; "--lenient" ] in
+  check_int "lenient torn sprof exits 2" 2 code;
   (* emission-side injection: a VM fault still flushes a loadable
      profile; a torn save fails loudly and leaves a rejectable file *)
   let gf = path "faulted.gmon" in
