@@ -32,6 +32,8 @@ type cycle_entry = {
   c_member_views : arc_view list;
 }
 
+type positions = int array
+
 type t = {
   symtab : Symtab.t;
   total_time : float;
@@ -41,12 +43,49 @@ type t = {
   order : party array;
   never_called : int list;
   unattributed : float;
+  positions : positions;
 }
 
+(* A party's cell in [positions]: functions by id, then cycles by
+   number, then Spontaneous; -1 for a party outside the profile. Each
+   cell holds the party's first 1-based position in [order], 0 when it
+   is not listed. *)
+let slot ~n_funcs ~n_cycles = function
+  | Func id -> if id >= 0 && id < n_funcs then id else -1
+  | Cycle no -> if no >= 1 && no <= n_cycles then n_funcs + no - 1 else -1
+  | Spontaneous -> n_funcs + n_cycles
+
+let positions ~n_funcs ~n_cycles order =
+  let pos = Array.make (n_funcs + n_cycles + 1) 0 in
+  Array.iteri
+    (fun i party ->
+      let s = slot ~n_funcs ~n_cycles party in
+      if s < 0 then invalid_arg "Profile: order lists a party outside the profile";
+      if pos.(s) = 0 then pos.(s) <- i + 1)
+    order;
+  pos
+
+let make ~symtab ~total_time ~seconds_per_tick ~entries ~cycles ~order ~never_called
+    ~unattributed =
+  let positions =
+    positions ~n_funcs:(Array.length entries) ~n_cycles:(Array.length cycles) order
+  in
+  { symtab; total_time; seconds_per_tick; entries; cycles; order; never_called;
+    unattributed; positions }
+
+let restrict t keep =
+  let order = Array.of_seq (Seq.filter keep (Array.to_seq t.order)) in
+  let positions =
+    positions ~n_funcs:(Array.length t.entries) ~n_cycles:(Array.length t.cycles) order
+  in
+  { t with order; positions }
+
 let display_index t party =
-  let found = ref None in
-  Array.iteri (fun i p -> if p = party && !found = None then found := Some (i + 1)) t.order;
-  !found
+  match
+    slot ~n_funcs:(Array.length t.entries) ~n_cycles:(Array.length t.cycles) party
+  with
+  | -1 -> None
+  | s -> ( match t.positions.(s) with 0 -> None | i -> Some i)
 
 let name_with_cycle t id =
   let e = t.entries.(id) in

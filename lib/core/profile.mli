@@ -42,7 +42,11 @@ type cycle_entry = {
       (** one line per member, "listed in place of the children" *)
 }
 
-type t = {
+type positions
+(** Each party's position in the display order; read it with
+    {!display_index}. *)
+
+type t = private {
   symtab : Symtab.t;
   total_time : float;  (** seconds; the sum of all self times *)
   seconds_per_tick : float;
@@ -51,10 +55,33 @@ type t = {
   order : party array;  (** display order, busiest first *)
   never_called : int list;  (** ids with no calls, no ticks *)
   unattributed : float;  (** seconds outside every routine *)
+  positions : positions;  (** computed from [order] with it *)
 }
+(** Private, so the display order and its positions are only ever set
+    together: by {!make}, and changed only by {!restrict}. *)
+
+val make :
+  symtab:Symtab.t ->
+  total_time:float ->
+  seconds_per_tick:float ->
+  entries:entry array ->
+  cycles:cycle_entry array ->
+  order:party array ->
+  never_called:int list ->
+  unattributed:float ->
+  t
+(** The profile with the given display order; computes the positions
+    in one pass over [order].
+    @raise Invalid_argument when [order] lists a function id or cycle
+    number outside [entries] or [cycles]. *)
+
+val restrict : t -> (party -> bool) -> t
+(** The same profile listing only the parties of [order] that satisfy
+    the predicate, in the same relative order. *)
 
 val display_index : t -> party -> int option
-(** 1-based index of a party in the display order, if listed. *)
+(** 1-based index of a party's first occurrence in the display order,
+    [None] when it is not listed. O(1): an array read. *)
 
 val party_name : t -> party -> string
 (** ["EXAMPLE"], ["<cycle 2 as a whole>"], or ["<spontaneous>"]. *)

@@ -233,13 +233,5 @@ let run st (asg : Assign.result) (ag : Arcgraph.t) ~seconds_per_tick =
       parties
     |> Array.of_list
   in
-  {
-    Profile.symtab = st;
-    total_time;
-    seconds_per_tick = spt;
-    entries;
-    cycles;
-    order;
-    never_called;
-    unattributed = asg.unattributed *. spt;
-  }
+  Profile.make ~symtab:st ~total_time ~seconds_per_tick:spt ~entries ~cycles ~order
+    ~never_called ~unattributed:(asg.unattributed *. spt)

@@ -11,14 +11,17 @@ let entries (p : Profile.t) =
   in
   List.sort (fun (a, _) (b, _) -> compare a b) (names @ cycles)
 
-let listing p =
+let add_listing buf p =
   Obs.Trace.with_span ~cat:"core" "index" @@ fun () ->
-  let buf = Buffer.create 512 in
   Buffer.add_string buf "index by function name:\n\n";
   List.iter
     (fun (name, idx) ->
       match idx with
-      | Some i -> Buffer.add_string buf (Printf.sprintf "  [%3d] %s\n" i name)
-      | None -> Buffer.add_string buf (Printf.sprintf "  [  -] %s\n" name))
-    (entries p);
+      | Some i -> Printf.bprintf buf "  [%3d] %s\n" i name
+      | None -> Printf.bprintf buf "  [  -] %s\n" name)
+    (entries p)
+
+let listing p =
+  let buf = Buffer.create 512 in
+  add_listing buf p;
   Buffer.contents buf

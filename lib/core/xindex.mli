@@ -8,6 +8,9 @@
 
 val listing : Profile.t -> string
 
+val add_listing : Buffer.t -> Profile.t -> unit
+(** {!listing}, appended to the buffer. *)
+
 val entries : Profile.t -> (string * int option) list
 (** (name, display index) pairs, alphabetical; [None] for routines
     that are present in the executable but not in the listing. *)
