@@ -66,14 +66,16 @@ let build ?(static = []) ?unknown st (arcs : Gmon.arc list) =
   M.set (M.gauge M.default "core.arcgraph.folded") t.folded;
   t
 
-let remove_arcs t arcs =
-  let g = Graphlib.Digraph.copy t.graph in
-  List.iter (fun (src, dst) -> Graphlib.Digraph.remove_arc g ~src ~dst) arcs;
-  let removed = Hashtbl.create 8 in
-  List.iter (fun a -> Hashtbl.replace removed a ()) arcs;
-  {
-    t with
-    graph = g;
-    dynamic_arcs =
-      List.filter (fun a -> not (Hashtbl.mem removed a)) t.dynamic_arcs;
-  }
+let remove_arcs t = function
+  | [] -> t
+  | arcs ->
+    let g = Graphlib.Digraph.copy t.graph in
+    List.iter (fun (src, dst) -> Graphlib.Digraph.remove_arc g ~src ~dst) arcs;
+    let removed = Hashtbl.create 8 in
+    List.iter (fun a -> Hashtbl.replace removed a ()) arcs;
+    {
+      t with
+      graph = g;
+      dynamic_arcs =
+        List.filter (fun a -> not (Hashtbl.mem removed a)) t.dynamic_arcs;
+    }

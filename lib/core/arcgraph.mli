@@ -39,4 +39,6 @@ val build :
 val remove_arcs :
   t -> (int * int) list -> t
 (** Remove the given (caller id, callee id) arcs — the analysis-side
-    arc deletion option. Spontaneous records are unaffected. *)
+    arc deletion option. Spontaneous records are unaffected. The
+    result shares nothing mutable with the input, except that removing
+    no arcs returns the input itself. *)
