@@ -303,10 +303,11 @@ let test_store_tracks_are_independent () =
   ok (Store.append st ~label:"a" gmon);
   ok (Store.append_sprof st ~label:"a" (sample_i 1));
   (* submission bytes route by magic *)
-  (match Store.append_bytes st ~label:"b" (Gmon.Sprof.to_bytes (sample_i 2)) with
-  | Ok `Stored -> ()
-  | Ok (`Quarantined r) -> Alcotest.failf "sprof bytes quarantined: %s" r
-  | Error e -> Alcotest.fail e);
+  let q = Ingest.create ~max_batch:1 st in
+  (match ok (Ingest.submit q ~label:"b" (Gmon.Sprof.to_bytes (sample_i 2))) with
+  | Ingest.Flushed 1 -> ()
+  | Ingest.Quarantined r -> Alcotest.failf "sprof bytes quarantined: %s" r
+  | _ -> Alcotest.fail "sprof bytes not stored");
   let stats = Store.stats st in
   check_int "sprof segments counted" 2 stats.st_sprof_segments;
   check_int "sprof runs counted" 2 stats.st_sprof_runs;
@@ -325,10 +326,9 @@ let test_store_quarantines_torn_sprof () =
     let b = Gmon.Sprof.to_bytes (sample_i 1) in
     String.sub b 0 (String.length b - 3)
   in
-  (match Store.append_bytes st ~label:"x" torn with
-  | Ok (`Quarantined _) -> ()
-  | Ok `Stored -> Alcotest.fail "torn sprof bytes stored"
-  | Error e -> Alcotest.fail e);
+  (match ok (Ingest.submit (Ingest.create st) ~label:"x" torn) with
+  | Ingest.Quarantined _ -> ()
+  | _ -> Alcotest.fail "torn sprof bytes stored");
   check_int "quarantined" 1 (Store.stats st).st_quarantined
 
 (* ------------------------------------------------------------------ *)
