@@ -131,8 +131,8 @@ let submit t ~label bytes =
       Obs.Metrics.incr m_quarantined;
       let reason = Gmon.decode_error_to_string e in
       Result.map
-        (fun _ -> Quarantined reason)
-        (Store.append_bytes t.ing_store ~label bytes)
+        (fun () -> Quarantined reason)
+        (Store.quarantine t.ing_store ~label ~reason bytes)
     | Ok payload ->
       Obs.Metrics.incr m_submitted;
       if t.buffer = [] then t.oldest <- Unix.gettimeofday ();

@@ -78,38 +78,26 @@ val append_sprof : t -> label:string -> Gmon.Sprof.t -> (unit, string) result
     invalidation as {!append}; the two tracks share a shard but never
     mix payloads. *)
 
-val append_bytes :
-  t ->
-  label:string ->
-  string ->
-  ([ `Stored | `Quarantined of string ], string) result
-(** Decode an untrusted submission strictly and append it, routing by
-    magic: sprof payloads go to the sampled track, everything else is
-    decoded as an arc profile. Undecodable bytes are written to the
-    quarantine directory with their per-file diagnostics —
-    [`Quarantined reason] — and never fail the store. [Error] is
-    reserved for IO failures. *)
-
-val shard_view : t -> int -> (Gmon.t option, string) result
-(** Merged profile of one shard: compacted state plus the uncompacted
-    tail, [None] when the shard is empty. Served from the cache when
-    no segment landed since the last call. *)
+val quarantine :
+  t -> label:string -> reason:string -> string -> (unit, string) result
+(** Keep an undecodable submission for [label] byte for byte in the
+    quarantine directory, beside a sidecar holding [reason] (its
+    per-file diagnostics). It never reaches a merge. [Error] only on
+    IO failures. *)
 
 val merged : t -> (Gmon.t option, string) result
-(** Merged profile of the whole store ({!shard_view} over every
-    shard, summed). *)
-
-val sprof_shard_view : t -> int -> (Gmon.Sprof.t option, string) result
-(** Merged sampled profile of one shard's sampled track; cached like
-    {!shard_view}. *)
+(** Merged profile of the whole store: each shard's compacted state
+    plus its uncompacted tail, summed; [None] when the store is empty.
+    A shard's merged view is served from the cache when no segment
+    landed in it since the last call. *)
 
 val merged_sprof : t -> (Gmon.Sprof.t option, string) result
-(** Merged sampled profile of the whole store. Because the sprof merge
-    is canonical, this serializes byte-identically to
-    {!Gmon.Sprof.merge_all} over the originally submitted files,
-    whatever the interleaving of appends, compactions, and restarts
-    (tested; [make sample-smoke] checks it with [cmp] against a live
-    daemon). *)
+(** Merged sampled profile of the whole store, cached per shard like
+    {!merged}. Because the sprof merge is canonical, this serializes
+    byte-identically to {!Gmon.Sprof.merge_all} over the originally
+    submitted files, whatever the interleaving of appends, compactions,
+    and restarts (tested; the [test_cli] case "profd daemon" compares
+    a live daemon's [QUERY sreport] bytes with the offline merge). *)
 
 val compact : t -> (int, string) result
 (** Fold every shard's tail into its compacted profile — both tracks;
@@ -157,9 +145,6 @@ val top_buckets : t -> n:int -> ((int * int * int) list, string) result
     [(addr_lo, addr_hi, ticks)], heaviest first. The store is
     symbol-free; callers with an executable resolve names
     (gprofx [--store]). *)
-
-val arc_totals : t -> ((int * int * int) list, string) result
-(** Every arc of the merged view as [(from, self, count)], sorted. *)
 
 val quarantine_dir : t -> string
 
