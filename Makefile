@@ -1,7 +1,7 @@
 SMOKE_DIR := _build/smoke
 BIN := _build/default/bin
 
-.PHONY: all check build test smoke serve-smoke sample-smoke chaos-smoke obs-smoke pgo-smoke lint bench clean
+.PHONY: all check build test chaos-smoke obs-smoke pgo-smoke lint bench clean
 
 all: build
 
@@ -11,10 +11,9 @@ build:
 test:
 	dune runtest
 
-# Build, run the full test suite, then drive the real binaries through
-# the whole pipeline once: compile with profiling, execute, and check
-# that the analyzer produces a report and a metrics dump.
-check: build test lint smoke serve-smoke sample-smoke chaos-smoke obs-smoke pgo-smoke
+# Build and run the full test suite, which drives every binary end to
+# end (test/test_cli.ml), then the shell gates that remain.
+check: build test lint chaos-smoke obs-smoke pgo-smoke
 
 # Static consistency gate: proflint must pass the intact fixture
 # profiles (whole-run gmon, epoch container, and the paper's Figure 4)
@@ -55,141 +54,6 @@ lint: build
 	cmp $(SMOKE_DIR)/lint-report.json $(SMOKE_DIR)/lint-report.2.json
 	rm -f $(SMOKE_DIR)/lint-report.2.json
 	@echo "lint: ok (intact fixtures clean, mismatched pairing refused, json deterministic)"
-
-smoke: build
-	mkdir -p $(SMOKE_DIR)
-	dune exec bin/minic.exe -- test/fixtures/smoke.mini --pg -o $(SMOKE_DIR)/smoke.obj
-	dune exec bin/minirun.exe -- $(SMOKE_DIR)/smoke.obj -q --gmon $(SMOKE_DIR)/smoke.gmon
-	dune exec bin/gprofx.exe -- $(SMOKE_DIR)/smoke.obj $(SMOKE_DIR)/smoke.gmon \
-	  --obs-metrics /dev/stdout > $(SMOKE_DIR)/smoke.out
-	grep -q "call graph profile" $(SMOKE_DIR)/smoke.out
-	grep -q '"gmon.bytes_read"' $(SMOKE_DIR)/smoke.out
-	# Timeline: re-run with epoch snapshots, check the container sums to
-	# a loadable profile and the digest renders.
-	dune exec bin/minirun.exe -- $(SMOKE_DIR)/smoke.obj -q \
-	  --gmon $(SMOKE_DIR)/smoke2.gmon --epoch-ticks 4 --epochs $(SMOKE_DIR)/smoke.epochs
-	dune exec bin/gprofx.exe -- $(SMOKE_DIR)/smoke.obj $(SMOKE_DIR)/smoke.epochs \
-	  --timeline | grep -q "timeline:"
-	dune exec bin/gprofx.exe -- $(SMOKE_DIR)/smoke.obj $(SMOKE_DIR)/smoke.gmon \
-	  --format flame | grep -q "leaf"
-	# Regression gate: two identical runs must read as steady (exit 0);
-	# adding a run of a build whose leaf loops 8x longer must trip the
-	# watcher (exit 2) and name the slow routine.
-	rm -rf $(SMOKE_DIR)/watch; mkdir -p $(SMOKE_DIR)/watch
-	cp $(SMOKE_DIR)/smoke.gmon $(SMOKE_DIR)/watch/run-001.gmon
-	cp $(SMOKE_DIR)/smoke2.gmon $(SMOKE_DIR)/watch/run-002.gmon
-	dune exec bin/profwatch.exe -- $(SMOKE_DIR)/smoke.obj $(SMOKE_DIR)/watch \
-	  | grep -q "steady"
-	dune exec bin/minic.exe -- test/fixtures/smoke_slow.mini --pg \
-	  -o $(SMOKE_DIR)/watch/run-003.obj
-	dune exec bin/minirun.exe -- $(SMOKE_DIR)/watch/run-003.obj -q \
-	  --gmon $(SMOKE_DIR)/watch/run-003.gmon
-	code=0; dune exec bin/profwatch.exe -- $(SMOKE_DIR)/smoke.obj \
-	  $(SMOKE_DIR)/watch > $(SMOKE_DIR)/watch.out || code=$$?; \
-	  if [ $$code -ne 2 ]; then \
-	    echo "smoke: profwatch on regressed dir exited $$code, want 2"; exit 1; fi
-	grep -q "regression: leaf" $(SMOKE_DIR)/watch.out
-	@echo "smoke: ok (pipeline, timeline and the profwatch gate)"
-
-# Fleet aggregation gate: a real profd daemon on a temp socket. Runs
-# are submitted live (file batches and minirun --submit), the daemon
-# is kill -9'd mid-service and restarted over the same store, a corrupt
-# submission must be quarantined (client exit 2), and the recovered,
-# compacted store's merged report must be byte-identical to an offline
-# Gmon.merge_all of the same runs. Direct binary paths (not dune exec)
-# so $$! is the daemon's real pid.
-serve-smoke: build
-	rm -rf $(SMOKE_DIR)/serve; mkdir -p $(SMOKE_DIR)/serve
-	$(BIN)/minic.exe test/fixtures/smoke.mini --pg -o $(SMOKE_DIR)/serve/smoke.obj
-	set -e; for s in 1 2 3 4; do \
-	  $(BIN)/minirun.exe $(SMOKE_DIR)/serve/smoke.obj -q --seed $$s \
-	    --gmon $(SMOKE_DIR)/serve/run-$$s.gmon; \
-	done
-	head -c 90 $(SMOKE_DIR)/serve/run-1.gmon > $(SMOKE_DIR)/serve/corrupt.gmon
-	$(BIN)/profd.exe --serve --socket $(SMOKE_DIR)/serve/profd.sock \
-	  --store $(SMOKE_DIR)/serve/store --batch 2 \
-	  2> $(SMOKE_DIR)/serve/profd.log & echo $$! > $(SMOKE_DIR)/serve/profd.pid
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/serve/profd.sock --wait --timeout 30
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/serve/profd.sock \
-	  --submit $(SMOKE_DIR)/serve/run-1.gmon $(SMOKE_DIR)/serve/run-2.gmon
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/serve/profd.sock --flush
-	# kill -9 mid-service: recovery on restart must replay the store
-	kill -9 $$(cat $(SMOKE_DIR)/serve/profd.pid)
-	$(BIN)/profd.exe --serve --socket $(SMOKE_DIR)/serve/profd.sock \
-	  --store $(SMOKE_DIR)/serve/store --batch 2 \
-	  2>> $(SMOKE_DIR)/serve/profd.log & echo $$! > $(SMOKE_DIR)/serve/profd.pid
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/serve/profd.sock --wait --timeout 30
-	grep -q "recovered" $(SMOKE_DIR)/serve/profd.log
-	# a fleet member submits straight from the VM
-	$(BIN)/minirun.exe $(SMOKE_DIR)/serve/smoke.obj -q --seed 3 \
-	  --submit $(SMOKE_DIR)/serve/profd.sock --submit-label smoke
-	# a corrupt submission is quarantined: client exits 2, daemon lives
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/serve/profd.sock \
-	  --submit $(SMOKE_DIR)/serve/run-4.gmon > /dev/null
-	code=0; $(BIN)/profd.exe --socket $(SMOKE_DIR)/serve/profd.sock \
-	  --submit $(SMOKE_DIR)/serve/corrupt.gmon > /dev/null || code=$$?; \
-	  if [ $$code -ne 2 ]; then \
-	    echo "serve-smoke: corrupt submission exited $$code, want 2"; exit 1; fi
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/serve/profd.sock --flush --compact
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/serve/profd.sock \
-	  --query top --top-n 5 | grep -Eq "^[0-9]+ [0-9]+ [0-9]+"
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/serve/profd.sock --query stats \
-	  | grep -q '"quarantined":1'
-	# equivalence: daemon report == offline merge of the same four runs
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/serve/profd.sock \
-	  --query report --out $(SMOKE_DIR)/serve/daemon.gmon
-	$(BIN)/profd.exe --merge-offline $(SMOKE_DIR)/serve/offline.gmon \
-	  $(SMOKE_DIR)/serve/run-1.gmon $(SMOKE_DIR)/serve/run-2.gmon \
-	  $(SMOKE_DIR)/serve/run-3.gmon $(SMOKE_DIR)/serve/run-4.gmon
-	cmp $(SMOKE_DIR)/serve/daemon.gmon $(SMOKE_DIR)/serve/offline.gmon
-	# the analyzer reads the store directly once the daemon is gone
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/serve/profd.sock --shutdown
-	$(BIN)/gprofx.exe $(SMOKE_DIR)/serve/smoke.obj \
-	  --store $(SMOKE_DIR)/serve/store --flat | grep -q "leaf"
-	@echo "serve-smoke: ok (ingest, kill -9 recovery, quarantine, daemon == offline merge)"
-
-# Sampled-pipeline gate: complete-call-stack sampling end to end from
-# the CLI alone. Two runs record sprof containers; gprofx renders the
-# sampled flat profile, flame output, and the gprof-vs-sampled
-# divergence report; then a daemon ingests one sprof straight from the
-# VM (--submit rides along with --sample-ticks) and one from a file,
-# and its merged sreport must be byte-identical to profd's offline
-# merge of the same two containers.
-sample-smoke: build
-	rm -rf $(SMOKE_DIR)/sample; mkdir -p $(SMOKE_DIR)/sample
-	$(BIN)/minic.exe test/fixtures/smoke.mini --pg -o $(SMOKE_DIR)/sample/smoke.obj
-	set -e; for s in 1 2; do \
-	  $(BIN)/minirun.exe $(SMOKE_DIR)/sample/smoke.obj -q --seed $$s \
-	    --gmon $(SMOKE_DIR)/sample/run-$$s.gmon --sample-ticks 1 \
-	    --sample-out $(SMOKE_DIR)/sample/run-$$s.sprof; \
-	done
-	# sampled renderings: flat profile and folded stacks, no arc data
-	$(BIN)/gprofx.exe $(SMOKE_DIR)/sample/smoke.obj \
-	  $(SMOKE_DIR)/sample/run-1.sprof | grep -q "call-stack samples:"
-	$(BIN)/gprofx.exe $(SMOKE_DIR)/sample/smoke.obj \
-	  $(SMOKE_DIR)/sample/run-1.sprof --format flame | grep -q "leaf"
-	# the divergence report pairs the arc and sampled views of one run
-	$(BIN)/gprofx.exe --divergence $(SMOKE_DIR)/sample/smoke.obj \
-	  $(SMOKE_DIR)/sample/run-1.gmon $(SMOKE_DIR)/sample/run-1.sprof \
-	  > $(SMOKE_DIR)/sample/div.out
-	grep -q "divergence: gprof propagated vs stack samples" $(SMOKE_DIR)/sample/div.out
-	# fleet: daemon sreport == offline merge, byte for byte
-	$(BIN)/profd.exe --serve --socket $(SMOKE_DIR)/sample/profd.sock \
-	  --store $(SMOKE_DIR)/sample/store \
-	  2> $(SMOKE_DIR)/sample/profd.log & echo $$! > $(SMOKE_DIR)/sample/profd.pid
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/sample/profd.sock --wait --timeout 30
-	$(BIN)/minirun.exe $(SMOKE_DIR)/sample/smoke.obj -q --seed 1 --sample-ticks 1 \
-	  --submit $(SMOKE_DIR)/sample/profd.sock --submit-label smoke
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/sample/profd.sock \
-	  --submit $(SMOKE_DIR)/sample/run-2.sprof > /dev/null
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/sample/profd.sock --flush --compact
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/sample/profd.sock \
-	  --query sreport --out $(SMOKE_DIR)/sample/daemon.sprof
-	$(BIN)/profd.exe --socket $(SMOKE_DIR)/sample/profd.sock --shutdown
-	$(BIN)/profd.exe --merge-offline $(SMOKE_DIR)/sample/offline.sprof \
-	  $(SMOKE_DIR)/sample/run-1.sprof $(SMOKE_DIR)/sample/run-2.sprof
-	cmp $(SMOKE_DIR)/sample/daemon.sprof $(SMOKE_DIR)/sample/offline.sprof
-	@echo "sample-smoke: ok (sampled renderings, divergence, daemon == offline merge)"
 
 # Chaos gate: the fleet pipeline under deterministic fault injection.
 # Phase 1 — a clean daemon, hostile clients: submissions arrive through
