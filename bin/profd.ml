@@ -11,8 +11,8 @@
    The same binary is its own client: --submit, --query, --flush,
    --compact, --shutdown, --wait, and --drain-spool talk to a running
    daemon, and --merge-offline performs the equivalence baseline (a
-   plain Gmon.merge_all of files) that tests and the serve-smoke gate
-   compare a daemon-ingested store against. *)
+   plain Gmon.merge_all of files) that tests, among them test_cli's
+   "profd daemon" case, compare a daemon-ingested store against. *)
 
 open Cmdliner
 
