@@ -110,7 +110,7 @@ let m_quarantined =
   Container.counter ~help:"undecodable profiles skipped by quarantined summing"
     "gmon.quarantined_files"
 
-let merge a b =
+let mergeable a b =
   let ha = a.hist and hb = b.hist in
   if
     ha.h_lowpc <> hb.h_lowpc || ha.h_highpc <> hb.h_highpc
@@ -120,20 +120,24 @@ let merge a b =
     Error "cannot merge profiles with different clock rates"
   else if a.cycles_per_tick <> b.cycles_per_tick then
     Error "cannot merge profiles with different cycle rates"
-  else begin
-    let counts = Array.mapi (fun i c -> c + hb.h_counts.(i)) ha.h_counts in
-    let arcs =
-      Container.merge_tables m ~compare:compare_arc ~add:add_arc a.arcs b.arcs
-    in
-    Ok
+  else Ok ()
+
+let merge a b =
+  Result.map
+    (fun () ->
+      let ha = a.hist and hb = b.hist in
+      let counts = Array.mapi (fun i c -> c + hb.h_counts.(i)) ha.h_counts in
+      let arcs =
+        Container.merge_tables m ~compare:compare_arc ~add:add_arc a.arcs b.arcs
+      in
       {
         hist = { ha with h_counts = counts };
         arcs;
         ticks_per_second = a.ticks_per_second;
         cycles_per_tick = a.cycles_per_tick;
         runs = a.runs + b.runs;
-      }
-  end
+      })
+    (mergeable a b)
 
 let merge_all = Container.merge_all ~empty:"no profiles to merge" merge
 
@@ -700,27 +704,30 @@ module Sprof = struct
 
   (* --- merge algebra ------------------------------------------------ *)
 
-  let merge a b =
+  let mergeable a b =
     if a.sp_sample_interval <> b.sp_sample_interval then
       Error "cannot merge sampled profiles with different sample intervals"
     else if a.sp_ticks_per_second <> b.sp_ticks_per_second then
       Error "cannot merge sampled profiles with different clock rates"
     else if a.sp_cycles_per_tick <> b.sp_cycles_per_tick then
       Error "cannot merge sampled profiles with different cycle rates"
-    else begin
-      let stacks =
-        Container.merge_tables m ~compare:compare_entry ~add:add_entry a.sp_stacks
-          b.sp_stacks
-      in
-      Ok
+    else Ok ()
+
+  let merge a b =
+    Result.map
+      (fun () ->
+        let stacks =
+          Container.merge_tables m ~compare:compare_entry ~add:add_entry
+            a.sp_stacks b.sp_stacks
+        in
         {
           sp_sample_interval = a.sp_sample_interval;
           sp_ticks_per_second = a.sp_ticks_per_second;
           sp_cycles_per_tick = a.sp_cycles_per_tick;
           sp_runs = a.sp_runs + b.sp_runs;
           sp_stacks = stacks;
-        }
-    end
+        })
+      (mergeable a b)
 
   let merge_all = Container.merge_all ~empty:"no sampled profiles to merge" merge
 
