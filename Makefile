@@ -1,7 +1,7 @@
 SMOKE_DIR := _build/smoke
 BIN := _build/default/bin
 
-.PHONY: all check build test chaos-smoke obs-smoke pgo-smoke lint bench clean
+.PHONY: all check build test obs-smoke pgo-smoke lint bench clean
 
 all: build
 
@@ -13,7 +13,7 @@ test:
 
 # Build and run the full test suite, which drives every binary end to
 # end (test/test_cli.ml), then the shell gates that remain.
-check: build test lint chaos-smoke obs-smoke pgo-smoke
+check: build test lint obs-smoke pgo-smoke
 
 # Static consistency gate: proflint must pass the intact fixture
 # profiles (whole-run gmon, epoch container, and the paper's Figure 4)
@@ -54,133 +54,6 @@ lint: build
 	cmp $(SMOKE_DIR)/lint-report.json $(SMOKE_DIR)/lint-report.2.json
 	rm -f $(SMOKE_DIR)/lint-report.2.json
 	@echo "lint: ok (intact fixtures clean, mismatched pairing refused, json deterministic)"
-
-# Chaos gate: the fleet pipeline under deterministic fault injection.
-# Phase 1 — a clean daemon, hostile clients: submissions arrive through
-# seeded torn frames, short reads, resets, and latency (retries carry
-# submission ids, so the daemon's dedup window keeps the count exact);
-# the daemon is kill -9'd racing a compaction and must recover; a hung
-# peer (half a length prefix, then silence) must not stall other
-# clients and must be cut at the IO deadline. Phase 2 — a store that
-# refuses 60% of appends: the bounded queue sheds with BUSY, clients
-# spool locally, --drain-spool resubmits, and the books must balance
-# exactly (submitted = stored + quarantined + spooled-then-drained).
-# Both phases end with the daemon's merged report byte-identical (cmp)
-# to profd --merge-offline of the same runs.
-CHAOS := $(SMOKE_DIR)/chaos
-
-chaos-smoke: build
-	rm -rf $(CHAOS); mkdir -p $(CHAOS)/spool
-	$(BIN)/minic.exe test/fixtures/smoke.mini --pg -o $(CHAOS)/smoke.obj
-	set -e; for s in 1 2 3 4; do \
-	  $(BIN)/minirun.exe $(CHAOS)/smoke.obj -q --seed $$s \
-	    --gmon $(CHAOS)/run-$$s.gmon; \
-	done
-	head -c 90 $(CHAOS)/run-1.gmon > $(CHAOS)/corrupt.gmon
-	# --- phase 1: hostile clients against a clean daemon ---
-	$(BIN)/profd.exe --serve --socket $(CHAOS)/a.sock \
-	  --store $(CHAOS)/store-a --batch 2 --conn-timeout 2 \
-	  --obs-metrics $(CHAOS)/profd-a.metrics \
-	  2> $(CHAOS)/profd-a.log & echo $$! > $(CHAOS)/a.pid
-	$(BIN)/profd.exe --socket $(CHAOS)/a.sock --wait --timeout 30
-	PROFD_FAULTS="seed=5,short=0.5,torn=0.5,reset=0.1,latency=0.1,delay_ms=1" \
-	  $(BIN)/profd.exe --socket $(CHAOS)/a.sock --retries 12 \
-	  --submit $(CHAOS)/run-1.gmon $(CHAOS)/run-2.gmon > /dev/null
-	$(BIN)/minirun.exe $(CHAOS)/smoke.obj -q --seed 3 \
-	  --submit $(CHAOS)/a.sock --submit-label run-3
-	$(BIN)/profd.exe --socket $(CHAOS)/a.sock --flush
-	# kill -9 racing a compaction: wherever the daemon dies, restart
-	# recovery must preserve every flushed profile
-	$(BIN)/profd.exe --socket $(CHAOS)/a.sock --compact > /dev/null 2>&1 & \
-	  kill -9 $$(cat $(CHAOS)/a.pid)
-	$(BIN)/profd.exe --serve --socket $(CHAOS)/a.sock \
-	  --store $(CHAOS)/store-a --batch 2 --conn-timeout 2 \
-	  --obs-metrics $(CHAOS)/profd-a.metrics \
-	  2>> $(CHAOS)/profd-a.log & echo $$! > $(CHAOS)/a.pid
-	$(BIN)/profd.exe --socket $(CHAOS)/a.sock --wait --timeout 30
-	# more hostile-client traffic against the recovered daemon, so its
-	# own metrics must account for the torn connections
-	PROFD_FAULTS="seed=5,short=0.5,torn=0.5,reset=0.1,latency=0.1,delay_ms=1" \
-	  $(BIN)/profd.exe --socket $(CHAOS)/a.sock --retries 12 \
-	  --submit $(CHAOS)/run-4.gmon > /dev/null
-	# a corrupt submission is quarantined (client exit 2), never dropped
-	code=0; $(BIN)/profd.exe --socket $(CHAOS)/a.sock \
-	  --submit $(CHAOS)/corrupt.gmon > /dev/null || code=$$?; \
-	  if [ $$code -ne 2 ]; then \
-	    echo "chaos-smoke: corrupt submission exited $$code, want 2"; exit 1; fi
-	# a hung peer must not stall the daemon, and is cut at the deadline
-	set -e; python3 -c 'import socket,sys,time; s=socket.socket(socket.AF_UNIX); \
-	    s.connect(sys.argv[1]); s.send(b"\x08\x00"); time.sleep(4)' \
-	    $(CHAOS)/a.sock & slow=$$!; \
-	  sleep 0.3; timeout 5 $(BIN)/profd.exe --socket $(CHAOS)/a.sock --flush; \
-	  sleep 2.2; kill $$slow 2> /dev/null || true
-	# equivalence + accounting: 4 runs in, 4 stored, 1 quarantined
-	$(BIN)/profd.exe --socket $(CHAOS)/a.sock --flush --compact
-	$(BIN)/profd.exe --socket $(CHAOS)/a.sock \
-	  --query report --out $(CHAOS)/daemon-a.gmon
-	$(BIN)/profd.exe --merge-offline $(CHAOS)/offline-a.gmon \
-	  $(CHAOS)/run-1.gmon $(CHAOS)/run-2.gmon \
-	  $(CHAOS)/run-3.gmon $(CHAOS)/run-4.gmon
-	cmp $(CHAOS)/daemon-a.gmon $(CHAOS)/offline-a.gmon
-	$(BIN)/profd.exe --socket $(CHAOS)/a.sock --query stats \
-	  | grep -q '"total_runs":4'
-	$(BIN)/profd.exe --socket $(CHAOS)/a.sock --query stats \
-	  | grep -q '"quarantined":1'
-	$(BIN)/profd.exe --socket $(CHAOS)/a.sock --shutdown
-	set -e; for i in $$(seq 1 50); do \
-	  test -s $(CHAOS)/profd-a.metrics && break; sleep 0.1; done
-	grep -Eq '"profd.conn.deadline_closed":[1-9]' $(CHAOS)/profd-a.metrics
-	grep -Eq '"profd.conn.torn":[1-9]' $(CHAOS)/profd-a.metrics
-	# --- phase 2: a store that refuses 60% of appends ---
-	# local reference copies double as submissions (same seed, same run)
-	$(BIN)/minirun.exe $(CHAOS)/smoke.obj -q --seed 20 \
-	  --gmon $(CHAOS)/burst-20.gmon \
-	  --submit $(CHAOS)/nosuch.sock --submit-retries 2 --spool $(CHAOS)/spool
-	ls $(CHAOS)/spool/sp-*.spool > /dev/null
-	PROFD_FAULTS="seed=3,storefail=0.6" $(BIN)/profd.exe --serve \
-	  --socket $(CHAOS)/c.sock --store $(CHAOS)/store-c \
-	  --batch 1 --queue-cap 2 --retry-after 0.05 \
-	  --obs-metrics $(CHAOS)/profd-c.metrics \
-	  2> $(CHAOS)/profd-c.log & echo $$! > $(CHAOS)/c.pid
-	$(BIN)/profd.exe --socket $(CHAOS)/c.sock --wait --timeout 30
-	# overload burst: accepted, or answered BUSY and spooled — never lost
-	set -e; for s in 10 11 12 13 14 15; do \
-	  $(BIN)/minirun.exe $(CHAOS)/smoke.obj -q --seed $$s \
-	    --gmon $(CHAOS)/burst-$$s.gmon --submit $(CHAOS)/c.sock \
-	    --submit-label burst --submit-retries 2 --spool $(CHAOS)/spool; \
-	done
-	# drain the spool and flush until the flaky store has taken everything
-	set -e; for i in $$(seq 1 100); do \
-	  if $(BIN)/profd.exe --socket $(CHAOS)/c.sock \
-	    --drain-spool $(CHAOS)/spool --retries 8 > /dev/null; then break; fi; \
-	  sleep 0.2; done
-	test -z "$$(ls $(CHAOS)/spool 2> /dev/null | grep '\.spool$$')"
-	set -e; for i in $$(seq 1 100); do \
-	  if $(BIN)/profd.exe --socket $(CHAOS)/c.sock --flush > /dev/null; \
-	    then break; fi; sleep 0.2; done
-	$(BIN)/profd.exe --socket $(CHAOS)/c.sock --query stats \
-	  | grep -q '"pending":0'
-	# the books balance: 7 submitted = 7 stored + 0 quarantined + 0 spooled
-	$(BIN)/profd.exe --socket $(CHAOS)/c.sock --query stats \
-	  | grep -q '"total_runs":7'
-	$(BIN)/profd.exe --socket $(CHAOS)/c.sock --query stats \
-	  | grep -q '"quarantined":0'
-	$(BIN)/profd.exe --socket $(CHAOS)/c.sock --compact
-	$(BIN)/profd.exe --socket $(CHAOS)/c.sock \
-	  --query report --out $(CHAOS)/daemon-c.gmon
-	$(BIN)/profd.exe --merge-offline $(CHAOS)/offline-c.gmon \
-	  $(CHAOS)/burst-10.gmon $(CHAOS)/burst-11.gmon $(CHAOS)/burst-12.gmon \
-	  $(CHAOS)/burst-13.gmon $(CHAOS)/burst-14.gmon $(CHAOS)/burst-15.gmon \
-	  $(CHAOS)/burst-20.gmon
-	cmp $(CHAOS)/daemon-c.gmon $(CHAOS)/offline-c.gmon
-	# graceful drain on SIGTERM: the daemon announces it, then exits
-	set -e; kill -TERM $$(cat $(CHAOS)/c.pid); \
-	  for i in $$(seq 1 100); do \
-	    kill -0 $$(cat $(CHAOS)/c.pid) 2> /dev/null || break; sleep 0.1; done; \
-	  if kill -0 $$(cat $(CHAOS)/c.pid) 2> /dev/null; then \
-	    echo "chaos-smoke: daemon ignored SIGTERM"; exit 1; fi
-	grep -q "draining" $(CHAOS)/profd-c.log
-	@echo "chaos-smoke: ok (faulty clients, kill -9 recovery, slowloris cut, overload/spool/drain, books balanced, daemon == offline merge)"
 
 # Live-telemetry gate: a daemon under fault-plane latency injection,
 # watched from outside. proftop --once --json must return well-formed
