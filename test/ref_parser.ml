@@ -1,0 +1,486 @@
+(* The parser as it was before lexing on demand: a verbatim copy that
+   parses from a token list built by the reference lexer, kept only as
+   the reference the front-end parity property (test_fuzz.ml) runs
+   beside Mini.Parser. It builds Mini.Ast values. *)
+
+module Ast = Mini.Ast
+module Lexer = Ref_lexer
+
+exception Error of string * Ast.loc
+
+type state = { mutable toks : (Lexer.token * Ast.loc) list }
+
+let fail loc fmt = Format.kasprintf (fun s -> raise (Error (s, loc))) fmt
+
+let peek st =
+  match st.toks with [] -> (Lexer.EOF, Ast.dummy_loc) | t :: _ -> t
+
+let advance st = match st.toks with [] -> () | _ :: rest -> st.toks <- rest
+
+let next st =
+  let t = peek st in
+  advance st;
+  t
+
+let expect st tok =
+  let got, loc = next st in
+  if got <> tok then
+    fail loc "expected %s but found %s" (Lexer.token_name tok)
+      (Lexer.token_name got);
+  loc
+
+let expect_ident st =
+  match next st with
+  | Lexer.IDENT s, loc -> (s, loc)
+  | got, loc -> fail loc "expected an identifier but found %s" (Lexer.token_name got)
+
+let expect_int st =
+  match next st with
+  | Lexer.INT n, loc -> (n, loc)
+  | Lexer.MINUS, _ ->
+    (match next st with
+    | Lexer.INT n, loc -> (-n, loc)
+    | got, loc -> fail loc "expected an integer but found %s" (Lexer.token_name got))
+  | got, loc -> fail loc "expected an integer but found %s" (Lexer.token_name got)
+
+(* --- expressions ----------------------------------------------------- *)
+
+let rec parse_or st =
+  let lhs = parse_and st in
+  match peek st with
+  | Lexer.BARBAR, loc ->
+    advance st;
+    let rhs = parse_or_chain st in
+    Ast.mk_expr ~loc (Ast.Binop (Ast.Or, lhs, rhs))
+  | _ -> lhs
+
+and parse_or_chain st =
+  (* right-fold the chain so that pretty-printing without parens
+     round-trips: a || b || c parses as a || (b || c). || and && are
+     associative so the shape does not affect meaning. *)
+  parse_or st
+
+and parse_and st =
+  let lhs = parse_cmp st in
+  match peek st with
+  | Lexer.AMPAMP, loc ->
+    advance st;
+    let rhs = parse_and st in
+    Ast.mk_expr ~loc (Ast.Binop (Ast.And, lhs, rhs))
+  | _ -> lhs
+
+and parse_cmp st =
+  let lhs = parse_add st in
+  let relop =
+    match peek st with
+    | Lexer.LT, loc -> Some (Ast.Lt, loc)
+    | Lexer.LE, loc -> Some (Ast.Le, loc)
+    | Lexer.GT, loc -> Some (Ast.Gt, loc)
+    | Lexer.GE, loc -> Some (Ast.Ge, loc)
+    | Lexer.EQ, loc -> Some (Ast.Eq, loc)
+    | Lexer.NE, loc -> Some (Ast.Ne, loc)
+    | _ -> None
+  in
+  match relop with
+  | None -> lhs
+  | Some (op, loc) ->
+    advance st;
+    let rhs = parse_add st in
+    (* Reject a second comparison: relations do not associate. *)
+    (match peek st with
+    | (Lexer.LT | Lexer.LE | Lexer.GT | Lexer.GE | Lexer.EQ | Lexer.NE), loc2 ->
+      fail loc2 "comparison operators do not associate; parenthesize"
+    | _ -> ());
+    Ast.mk_expr ~loc (Ast.Binop (op, lhs, rhs))
+
+and parse_add st =
+  let rec go lhs =
+    match peek st with
+    | Lexer.PLUS, loc ->
+      advance st;
+      go (Ast.mk_expr ~loc (Ast.Binop (Ast.Add, lhs, parse_mul st)))
+    | Lexer.MINUS, loc ->
+      advance st;
+      go (Ast.mk_expr ~loc (Ast.Binop (Ast.Sub, lhs, parse_mul st)))
+    | _ -> lhs
+  in
+  go (parse_mul st)
+
+and parse_mul st =
+  let rec go lhs =
+    match peek st with
+    | Lexer.STAR, loc ->
+      advance st;
+      go (Ast.mk_expr ~loc (Ast.Binop (Ast.Mul, lhs, parse_unary st)))
+    | Lexer.SLASH, loc ->
+      advance st;
+      go (Ast.mk_expr ~loc (Ast.Binop (Ast.Div, lhs, parse_unary st)))
+    | Lexer.PERCENT, loc ->
+      advance st;
+      go (Ast.mk_expr ~loc (Ast.Binop (Ast.Mod, lhs, parse_unary st)))
+    | _ -> lhs
+  in
+  go (parse_unary st)
+
+and parse_unary st =
+  match peek st with
+  | Lexer.MINUS, loc ->
+    advance st;
+    (* fold -LITERAL into a literal so negative constants round-trip *)
+    (match parse_unary st with
+    | { Ast.desc = Ast.Int n; _ } -> Ast.mk_expr ~loc (Ast.Int (-n))
+    | e -> Ast.mk_expr ~loc (Ast.Unop (Ast.Neg, e)))
+  | Lexer.BANG, loc ->
+    advance st;
+    Ast.mk_expr ~loc (Ast.Unop (Ast.Not, parse_unary st))
+  | _ -> parse_postfix st
+
+and parse_postfix st =
+  let rec go e =
+    match peek st with
+    | Lexer.LPAREN, loc ->
+      advance st;
+      let args = parse_args st in
+      ignore (expect st Lexer.RPAREN);
+      go (Ast.mk_expr ~loc (Ast.Call (e, args)))
+    | _ -> e
+  in
+  go (parse_primary st)
+
+and parse_args st =
+  match peek st with
+  | Lexer.RPAREN, _ -> []
+  | _ ->
+    let rec go acc =
+      let e = parse_or st in
+      match peek st with
+      | Lexer.COMMA, _ ->
+        advance st;
+        go (e :: acc)
+      | _ -> List.rev (e :: acc)
+    in
+    go []
+
+and parse_primary st =
+  match next st with
+  | Lexer.INT n, loc -> Ast.mk_expr ~loc (Ast.Int n)
+  | Lexer.IDENT x, loc ->
+    (match peek st with
+    | Lexer.LBRACKET, _ ->
+      advance st;
+      let idx = parse_or st in
+      ignore (expect st Lexer.RBRACKET);
+      Ast.mk_expr ~loc (Ast.Index (x, idx))
+    | _ -> Ast.mk_expr ~loc (Ast.Var x))
+  | Lexer.LPAREN, _ ->
+    let e = parse_or st in
+    ignore (expect st Lexer.RPAREN);
+    e
+  | got, loc -> fail loc "expected an expression but found %s" (Lexer.token_name got)
+
+let parse_expression st = parse_or st
+
+(* --- statements ------------------------------------------------------ *)
+
+(* A "simple" statement for for-headers: declaration or assignment,
+   without the trailing semicolon. *)
+let parse_simple st =
+  match peek st with
+  | Lexer.KW_VAR, loc ->
+    advance st;
+    let x, _ = expect_ident st in
+    ignore (expect st Lexer.ASSIGN);
+    let e = parse_expression st in
+    Ast.mk_stmt ~loc (Ast.Decl (x, Some e))
+  | Lexer.IDENT x, loc ->
+    advance st;
+    (match peek st with
+    | Lexer.LBRACKET, _ ->
+      advance st;
+      let idx = parse_expression st in
+      ignore (expect st Lexer.RBRACKET);
+      ignore (expect st Lexer.ASSIGN);
+      let e = parse_expression st in
+      Ast.mk_stmt ~loc (Ast.Astore (x, idx, e))
+    | _ ->
+      ignore (expect st Lexer.ASSIGN);
+      let e = parse_expression st in
+      Ast.mk_stmt ~loc (Ast.Assign (x, e)))
+  | got, loc ->
+    fail loc "expected a declaration or assignment but found %s"
+      (Lexer.token_name got)
+
+let rec parse_stmt st =
+  match peek st with
+  | Lexer.KW_VAR, loc ->
+    advance st;
+    let x, _ = expect_ident st in
+    let init =
+      match peek st with
+      | Lexer.ASSIGN, _ ->
+        advance st;
+        Some (parse_expression st)
+      | _ -> None
+    in
+    ignore (expect st Lexer.SEMI);
+    Ast.mk_stmt ~loc (Ast.Decl (x, init))
+  | Lexer.KW_IF, loc ->
+    advance st;
+    ignore (expect st Lexer.LPAREN);
+    let cond = parse_expression st in
+    ignore (expect st Lexer.RPAREN);
+    let then_ = parse_block st in
+    let else_ =
+      match peek st with
+      | Lexer.KW_ELSE, _ -> (
+        advance st;
+        match peek st with
+        | Lexer.KW_IF, _ -> [ parse_stmt st ]
+        | _ -> parse_block st)
+      | _ -> []
+    in
+    Ast.mk_stmt ~loc (Ast.If (cond, then_, else_))
+  | Lexer.KW_WHILE, loc ->
+    advance st;
+    ignore (expect st Lexer.LPAREN);
+    let cond = parse_expression st in
+    ignore (expect st Lexer.RPAREN);
+    let body = parse_block st in
+    Ast.mk_stmt ~loc (Ast.While (cond, body))
+  | Lexer.KW_FOR, loc ->
+    advance st;
+    ignore (expect st Lexer.LPAREN);
+    let init = parse_simple st in
+    ignore (expect st Lexer.SEMI);
+    let cond = parse_expression st in
+    ignore (expect st Lexer.SEMI);
+    let step = parse_simple st in
+    ignore (expect st Lexer.RPAREN);
+    let body = parse_block st in
+    Ast.mk_stmt ~loc (Ast.For (init, cond, step, body))
+  | Lexer.KW_BREAK, loc ->
+    advance st;
+    ignore (expect st Lexer.SEMI);
+    Ast.mk_stmt ~loc Ast.Break
+  | Lexer.KW_CONTINUE, loc ->
+    advance st;
+    ignore (expect st Lexer.SEMI);
+    Ast.mk_stmt ~loc Ast.Continue
+  | Lexer.KW_RETURN, loc ->
+    advance st;
+    (match peek st with
+    | Lexer.SEMI, _ ->
+      advance st;
+      Ast.mk_stmt ~loc (Ast.Return None)
+    | _ ->
+      let e = parse_expression st in
+      ignore (expect st Lexer.SEMI);
+      Ast.mk_stmt ~loc (Ast.Return (Some e)))
+  | Lexer.IDENT x, loc ->
+    (* Could be an assignment, an array store, or an expression
+       statement: disambiguate by the token after the identifier (and
+       after the bracketed index for arrays). *)
+    advance st;
+    (match peek st with
+    | Lexer.ASSIGN, _ ->
+      advance st;
+      let e = parse_expression st in
+      ignore (expect st Lexer.SEMI);
+      Ast.mk_stmt ~loc (Ast.Assign (x, e))
+    | Lexer.LBRACKET, _ ->
+      advance st;
+      let idx = parse_expression st in
+      ignore (expect st Lexer.RBRACKET);
+      (match peek st with
+      | Lexer.ASSIGN, _ ->
+        advance st;
+        let e = parse_expression st in
+        ignore (expect st Lexer.SEMI);
+        Ast.mk_stmt ~loc (Ast.Astore (x, idx, e))
+      | _ ->
+        (* a[i] as the head of an expression statement *)
+        let head = Ast.mk_expr ~loc (Ast.Index (x, idx)) in
+        let e = parse_expr_from st head in
+        ignore (expect st Lexer.SEMI);
+        Ast.mk_stmt ~loc (Ast.Expr e))
+    | _ ->
+      let head = Ast.mk_expr ~loc (Ast.Var x) in
+      let e = parse_expr_from st head in
+      ignore (expect st Lexer.SEMI);
+      Ast.mk_stmt ~loc (Ast.Expr e))
+  | _ ->
+    let loc = snd (peek st) in
+    let e = parse_expression st in
+    ignore (expect st Lexer.SEMI);
+    Ast.mk_stmt ~loc (Ast.Expr e)
+
+(* Continue parsing an expression whose leftmost primary [head] was
+   already consumed during statement disambiguation. We rebuild the
+   precedence climb around it: postfix calls, then binary chains. *)
+and parse_expr_from st head =
+  let e = parse_postfix_from st head in
+  parse_binop_chain st e
+
+and parse_postfix_from st head =
+  let rec go e =
+    match peek st with
+    | Lexer.LPAREN, loc ->
+      advance st;
+      let args = parse_args st in
+      ignore (expect st Lexer.RPAREN);
+      go (Ast.mk_expr ~loc (Ast.Call (e, args)))
+    | _ -> e
+  in
+  go head
+
+and parse_binop_chain st lhs =
+  (* Fold the rest of a binary expression given a fully-parsed lhs.
+     Implemented by precedence climbing over the remaining input. *)
+  let rec mul lhs =
+    match peek st with
+    | Lexer.STAR, loc ->
+      advance st;
+      mul (Ast.mk_expr ~loc (Ast.Binop (Ast.Mul, lhs, parse_unary st)))
+    | Lexer.SLASH, loc ->
+      advance st;
+      mul (Ast.mk_expr ~loc (Ast.Binop (Ast.Div, lhs, parse_unary st)))
+    | Lexer.PERCENT, loc ->
+      advance st;
+      mul (Ast.mk_expr ~loc (Ast.Binop (Ast.Mod, lhs, parse_unary st)))
+    | _ -> lhs
+  in
+  let rec add lhs =
+    let lhs = mul lhs in
+    match peek st with
+    | Lexer.PLUS, loc ->
+      advance st;
+      add (Ast.mk_expr ~loc (Ast.Binop (Ast.Add, lhs, parse_mul st)))
+    | Lexer.MINUS, loc ->
+      advance st;
+      add (Ast.mk_expr ~loc (Ast.Binop (Ast.Sub, lhs, parse_mul st)))
+    | _ -> lhs
+  in
+  let cmp lhs =
+    let lhs = add lhs in
+    let relop =
+      match peek st with
+      | Lexer.LT, loc -> Some (Ast.Lt, loc)
+      | Lexer.LE, loc -> Some (Ast.Le, loc)
+      | Lexer.GT, loc -> Some (Ast.Gt, loc)
+      | Lexer.GE, loc -> Some (Ast.Ge, loc)
+      | Lexer.EQ, loc -> Some (Ast.Eq, loc)
+      | Lexer.NE, loc -> Some (Ast.Ne, loc)
+      | _ -> None
+    in
+    match relop with
+    | None -> lhs
+    | Some (op, loc) ->
+      advance st;
+      Ast.mk_expr ~loc (Ast.Binop (op, lhs, parse_add st))
+  in
+  let and_ lhs =
+    let lhs = cmp lhs in
+    match peek st with
+    | Lexer.AMPAMP, loc ->
+      advance st;
+      Ast.mk_expr ~loc (Ast.Binop (Ast.And, lhs, parse_and st))
+    | _ -> lhs
+  in
+  let or_ lhs =
+    let lhs = and_ lhs in
+    match peek st with
+    | Lexer.BARBAR, loc ->
+      advance st;
+      Ast.mk_expr ~loc (Ast.Binop (Ast.Or, lhs, parse_or st))
+    | _ -> lhs
+  in
+  or_ lhs
+
+and parse_block st =
+  ignore (expect st Lexer.LBRACE);
+  let rec go acc =
+    match peek st with
+    | Lexer.RBRACE, _ ->
+      advance st;
+      List.rev acc
+    | Lexer.EOF, loc -> fail loc "unterminated block"
+    | _ -> go (parse_stmt st :: acc)
+  in
+  go []
+
+(* --- top level ------------------------------------------------------- *)
+
+let parse_topdecl st =
+  match peek st with
+  | Lexer.KW_VAR, loc ->
+    advance st;
+    let x, _ = expect_ident st in
+    let init =
+      match peek st with
+      | Lexer.ASSIGN, _ ->
+        advance st;
+        fst (expect_int st)
+      | _ -> 0
+    in
+    ignore (expect st Lexer.SEMI);
+    Either.Left (Ast.Gvar (x, init, loc))
+  | Lexer.KW_ARRAY, loc ->
+    advance st;
+    let x, _ = expect_ident st in
+    ignore (expect st Lexer.LBRACKET);
+    let n, nloc = expect_int st in
+    if n <= 0 then fail nloc "array size must be positive";
+    ignore (expect st Lexer.RBRACKET);
+    ignore (expect st Lexer.SEMI);
+    Either.Left (Ast.Garray (x, n, loc))
+  | Lexer.KW_FUN, loc ->
+    advance st;
+    let fname, _ = expect_ident st in
+    ignore (expect st Lexer.LPAREN);
+    let params =
+      match peek st with
+      | Lexer.RPAREN, _ -> []
+      | _ ->
+        let rec go acc =
+          let x, _ = expect_ident st in
+          match peek st with
+          | Lexer.COMMA, _ ->
+            advance st;
+            go (x :: acc)
+          | _ -> List.rev (x :: acc)
+        in
+        go []
+    in
+    ignore (expect st Lexer.RPAREN);
+    let body = parse_block st in
+    Either.Right { Ast.fname; params; body; floc = loc }
+  | got, loc ->
+    fail loc "expected 'var', 'array', or 'fun' at top level but found %s"
+      (Lexer.token_name got)
+
+let parse_program src =
+  let toks =
+    try Lexer.tokenize src with Lexer.Error (msg, loc) -> raise (Error (msg, loc))
+  in
+  let st = { toks } in
+  let rec go globals funs =
+    match peek st with
+    | Lexer.EOF, _ ->
+      { Ast.globals = List.rev globals; funs = List.rev funs }
+    | _ -> (
+      match parse_topdecl st with
+      | Either.Left g -> go (g :: globals) funs
+      | Either.Right f -> go globals (f :: funs))
+  in
+  go [] []
+
+let parse_expr src =
+  let toks =
+    try Lexer.tokenize src with Lexer.Error (msg, loc) -> raise (Error (msg, loc))
+  in
+  let st = { toks } in
+  let e = parse_expression st in
+  (match peek st with
+  | Lexer.EOF, _ -> ()
+  | got, loc -> fail loc "trailing input after expression: %s" (Lexer.token_name got));
+  e
