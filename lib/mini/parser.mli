@@ -32,8 +32,12 @@
 exception Error of string * Ast.loc
 
 val parse_program : string -> Ast.program
-(** @raise Error on a syntax error (and re-raises {!Lexer.Error} as a
-    parse error with the lexer's message). *)
+(** Parse a whole program, pulling each token from a {!Lexer.t} as it
+    goes; no token list is built.
+    @raise Error at the first error in file order, lexical or
+    syntactic. A lexical error keeps the lexer's message and
+    location. *)
 
 val parse_expr : string -> Ast.expr
-(** Parse a single expression (used by tests). *)
+(** Parse a single expression (used by tests).
+    @raise Error as {!parse_program} does, also on trailing input. *)
