@@ -1,7 +1,7 @@
 SMOKE_DIR := _build/smoke
 BIN := _build/default/bin
 
-.PHONY: all check build test obs-smoke pgo-smoke lint bench clean
+.PHONY: all check build test obs-smoke lint bench clean
 
 all: build
 
@@ -13,7 +13,7 @@ test:
 
 # Build and run the full test suite, which drives every binary end to
 # end (test/test_cli.ml), then the shell gates that remain.
-check: build test lint obs-smoke pgo-smoke
+check: build test lint obs-smoke
 
 # Static consistency gate: proflint must pass the intact fixture
 # profiles (whole-run gmon, epoch container, and the paper's Figure 4)
@@ -119,46 +119,6 @@ obs-smoke: build
 	$(BIN)/proftop.exe --telemetry $(OBS)/telemetry.jsonl --json \
 	  | grep -q '"ok":true'
 	@echo "obs-smoke: ok (health/metrics RPCs, injected latency visible, exact snapshot diff, telemetry series verified)"
-
-# Profile-guided-optimization gate: close the loop from the CLI alone.
-# Profile a workload, rebuild it with --profile-use, and hold the
-# rebuild to its promises: strictly fewer executed instructions, a
-# byte-deterministic decision log and binary, and a binary that still
-# profiles cleanly — both against its own fresh profile and under the
-# pgo pairing rules against the baseline it came from.
-PGO := $(SMOKE_DIR)/pgo
-
-pgo-smoke: build
-	rm -rf $(PGO); mkdir -p $(PGO)
-	$(BIN)/minic.exe test/fixtures/pgo_matrix.mini --pg -o $(PGO)/base.obj
-	$(BIN)/minirun.exe $(PGO)/base.obj -q --gmon $(PGO)/base.gmon \
-	  --obs-metrics $(PGO)/base.metrics
-	# the rebuild and its decision log must be deterministic: two runs,
-	# byte-identical artifacts (decisions.txt stays as the CI artifact)
-	$(BIN)/minic.exe test/fixtures/pgo_matrix.mini --pg \
-	  --profile-use $(PGO)/base.gmon --pgo-report \
-	  -o $(PGO)/opt.obj > $(PGO)/decisions.txt
-	$(BIN)/minic.exe test/fixtures/pgo_matrix.mini --pg \
-	  --profile-use $(PGO)/base.gmon --pgo-report \
-	  -o $(PGO)/opt.2.obj > $(PGO)/decisions.2.txt
-	cmp $(PGO)/opt.obj $(PGO)/opt.2.obj
-	cmp $(PGO)/decisions.txt $(PGO)/decisions.2.txt
-	rm -f $(PGO)/opt.2.obj $(PGO)/decisions.2.txt
-	$(BIN)/minirun.exe $(PGO)/opt.obj -q --gmon $(PGO)/opt.gmon \
-	  --obs-metrics $(PGO)/opt.metrics
-	# the whole point: the optimized build executes strictly fewer
-	# instructions on the workload its profile came from
-	python3 -c 'import json,sys; \
-	  base = json.load(open(sys.argv[1]))["gauges"]["vm.instructions"]; \
-	  opt = json.load(open(sys.argv[2]))["gauges"]["vm.instructions"]; \
-	  assert opt < base, "pgo build not faster: %d -> %d instructions" % (base, opt); \
-	  print("pgo-smoke: %d -> %d instructions (%.1f%%)" % (base, opt, 100.0*(opt-base)/base))' \
-	  $(PGO)/base.metrics $(PGO)/opt.metrics
-	# the rebuild still profiles cleanly, and the pairing rules accept
-	# it as a rebuild of the baseline
-	$(BIN)/proflint.exe $(PGO)/opt.obj $(PGO)/opt.gmon \
-	  --pgo-baseline $(PGO)/base.obj
-	@echo "pgo-smoke: ok (rebuild faster, decisions deterministic, re-profile lints clean)"
 
 bench:
 	dune exec bench/main.exe

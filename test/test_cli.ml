@@ -555,6 +555,57 @@ let test_lint_cli () =
   check_bool "no listings in lint mode" true
     (not (contains ~needle:"call graph profile" out))
 
+(* The profile-guided rebuild, closed from the command line alone:
+   profile a workload, rebuild it with --profile-use twice (the
+   objects and decision logs byte-identical), and hold the rebuild to
+   strictly fewer executed instructions. Its fresh profile lints
+   clean under the pairing rules against the baseline it came from. *)
+let test_pgo_cli () =
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  let src = "fixtures/pgo_matrix.mini" in
+  let base = path "pgo_base.obj" and base_gmon = path "pgo_base.gmon" in
+  let base_metrics = path "pgo_base.metrics" in
+  let code, _ = run_cmd [ exe "minic"; src; "--pg"; "-o"; base ] in
+  check_int "minic --pg exits 0" 0 code;
+  let code, _ =
+    run_cmd
+      [ exe "minirun"; base; "-q"; "--gmon"; base_gmon; "--obs-metrics"; base_metrics ]
+  in
+  check_int "baseline run exits 0" 0 code;
+  let rebuild obj =
+    let code, decisions =
+      run_cmd
+        [ exe "minic"; src; "--pg"; "--profile-use"; base_gmon; "--pgo-report"; "-o";
+          obj ]
+    in
+    check_int "minic --profile-use exits 0" 0 code;
+    decisions
+  in
+  let opt = path "pgo_opt.obj" and opt2 = path "pgo_opt2.obj" in
+  let decisions = rebuild opt in
+  check_bool "decision log printed" true (String.length decisions > 0);
+  Alcotest.(check string) "decision logs byte-identical" decisions (rebuild opt2);
+  check_bool "objects byte-identical" true (read opt = read opt2);
+  let opt_gmon = path "pgo_opt.gmon" and opt_metrics = path "pgo_opt.metrics" in
+  let code, _ =
+    run_cmd
+      [ exe "minirun"; opt; "-q"; "--gmon"; opt_gmon; "--obs-metrics"; opt_metrics ]
+  in
+  check_int "rebuild run exits 0" 0 code;
+  let instructions file =
+    match Obs.Snapshot.of_json (read file) with
+    | Error e -> Alcotest.failf "%s: %s" file e
+    | Ok s -> (
+      match Obs.Snapshot.find_gauge s "vm.instructions" with
+      | Some n -> n
+      | None -> Alcotest.failf "%s has no vm.instructions gauge" file)
+  in
+  let before = instructions base_metrics and after = instructions opt_metrics in
+  if after >= before then
+    Alcotest.failf "the rebuild is not faster: %d -> %d instructions" before after;
+  let code, _ = run_cmd [ exe "proflint"; opt; opt_gmon; "--pgo-baseline"; base ] in
+  check_int "proflint --pgo-baseline exits 0" 0 code
+
 let test_werror_cli () =
   let src = path "warny.mini" in
   Out_channel.with_open_text src (fun oc ->
@@ -1115,6 +1166,7 @@ let () =
           Alcotest.test_case "lenient flags" `Slow test_lenient_flags_cli;
           Alcotest.test_case "profwatch" `Slow test_profwatch_cli;
           Alcotest.test_case "proflint" `Slow test_lint_cli;
+          Alcotest.test_case "pgo loop" `Slow test_pgo_cli;
           Alcotest.test_case "minic --werror" `Slow test_werror_cli;
           Alcotest.test_case "profd daemon" `Slow test_profd_cli;
           Alcotest.test_case "profd chaos" `Slow test_profd_chaos_cli;
