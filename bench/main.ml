@@ -47,6 +47,6 @@ let () =
     (* Written even when expectations failed: the registry — per-
        experiment wall times, gmon traffic, the instrumentation-
        overhead gauge — is exactly what BENCH files want to track. *)
-    Option.iter (Obs.Metrics.save Obs.Metrics.default) !obs_json
+    Option.iter (Obs.Snapshot.save Obs.Metrics.default) !obs_json
   in
   Fun.protect ~finally (fun () -> Harness.run_all ~only)

@@ -44,7 +44,7 @@ let run obj_path gmon_paths store_dir no_static removed break focus exclude
       print_string (Obs.Trace.summary Obs.Trace.default)
     end;
     try
-      Option.iter (Obs.Metrics.save Obs.Metrics.default) obs_metrics;
+      Option.iter (Obs.Snapshot.save Obs.Metrics.default) obs_metrics;
       Option.iter (Obs.Trace.save_chrome Obs.Trace.default) obs_trace;
       code
     with Sys_error e ->

@@ -13,7 +13,7 @@ let run obj_path gmon_out submit_sock submit_label submit_retries spool_dir
   if obs_trace <> None then Obs.Trace.set_enabled Obs.Trace.default true;
   let finish code =
     try
-      Option.iter (Obs.Metrics.save Obs.Metrics.default) obs_metrics;
+      Option.iter (Obs.Snapshot.save Obs.Metrics.default) obs_metrics;
       Option.iter (Obs.Trace.save_chrome Obs.Trace.default) obs_trace;
       code
     with Sys_error e ->

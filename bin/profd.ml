@@ -208,7 +208,7 @@ let run serve_flag socket store_dir shards batch max_age queue_cap conn_timeout
   if obs_trace <> None then Obs.Trace.set_enabled Obs.Trace.default true;
   let finish code =
     try
-      Option.iter (Obs.Metrics.save Obs.Metrics.default) obs_metrics;
+      Option.iter (Obs.Snapshot.save Obs.Metrics.default) obs_metrics;
       Option.iter (Obs.Trace.save_chrome Obs.Trace.default) obs_trace;
       code
     with Sys_error e ->

@@ -17,7 +17,7 @@ let load_profile path =
 let run figure4 obj_path gmon_paths strict json obs_metrics pgo_baseline =
   let finish code =
     try
-      Option.iter (Obs.Metrics.save Obs.Metrics.default) obs_metrics;
+      Option.iter (Obs.Snapshot.save Obs.Metrics.default) obs_metrics;
       code
     with Sys_error e ->
       Printf.eprintf "proflint: %s\n" e;

@@ -9,7 +9,7 @@ let run obj_path gmon_path counts_path lenient obs_metrics obs_trace =
   if obs_trace <> None then Obs.Trace.set_enabled Obs.Trace.default true;
   let finish code =
     try
-      Option.iter (Obs.Metrics.save Obs.Metrics.default) obs_metrics;
+      Option.iter (Obs.Snapshot.save Obs.Metrics.default) obs_metrics;
       Option.iter (Obs.Trace.save_chrome Obs.Trace.default) obs_trace;
       code
     with Sys_error e ->

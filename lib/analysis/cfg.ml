@@ -128,11 +128,6 @@ let block_index f addr =
   in
   go 0 (n - 1)
 
-let func_of_addr t addr =
-  match Objfile.symbol_index t.cfg_obj addr with
-  | None -> None
-  | Some i -> Some (i, t.cfg_funcs.(i))
-
 let call_graph ?(indirect = []) t =
   let o = t.cfg_obj in
   let n = Array.length o.Objfile.symbols in
@@ -165,27 +160,3 @@ let call_graph ?(indirect = []) t =
     (fun (site, targets) -> List.iter (fun tgt -> add ~site ~target:tgt) targets)
     indirect;
   g
-
-let function_listing t f =
-  ignore t;
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s: %d block(s)\n" f.fn_symbol.Objfile.name
-       (Array.length f.fn_blocks));
-  Array.iter
-    (fun b ->
-      Buffer.add_string buf
-        (Printf.sprintf "  [%d..%d)" b.bb_start (b.bb_start + b.bb_len));
-      (match b.bb_succs with
-      | [] -> Buffer.add_string buf "  -> exit"
-      | ss ->
-        Buffer.add_string buf "  ->";
-        List.iter (fun s -> Buffer.add_string buf (Printf.sprintf " %d" s)) ss);
-      (match b.bb_calls with
-      | [] -> ()
-      | cs ->
-        Buffer.add_string buf "  calls:";
-        List.iter (fun c -> Buffer.add_string buf (Printf.sprintf " %d" c)) cs);
-      Buffer.add_char buf '\n')
-    f.fn_blocks;
-  Buffer.contents buf

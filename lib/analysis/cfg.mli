@@ -49,9 +49,6 @@ val block_index : func -> int -> int option
     the block numbering {!Dataflow.graph_of_func}, {!Dom}, and
     {!Facts} all share. Binary search. *)
 
-val func_of_addr : t -> int -> (int * func) option
-(** The function (id and body) whose symbol covers the address. *)
-
 val n_blocks : t -> int
 (** Total basic blocks over all functions. *)
 
@@ -66,7 +63,3 @@ val call_graph : ?indirect:(int * int list) list -> t -> Graphlib.Digraph.t
     (site address, target entry addresses) resolutions — the output of
     {!Indirect} — on top. Sites or targets that resolve to no function
     entry are skipped. *)
-
-val function_listing : t -> func -> string
-(** Debug rendering: one line per block with its successors and call
-    sites. *)

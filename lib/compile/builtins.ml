@@ -7,5 +7,3 @@ let syscall_of_name = function
   | "rand" -> Some Objcode.Instr.Sys_rand
   | "cycles" -> Some Objcode.Instr.Sys_cycles
   | _ -> None
-
-let pushes_result (_ : Objcode.Instr.syscall) = true

@@ -12,7 +12,3 @@ val arities : (string * int) list
     {!Mini.Check.check}. *)
 
 val syscall_of_name : string -> Objcode.Instr.syscall option
-
-val pushes_result : Objcode.Instr.syscall -> bool
-(** Every syscall pushes exactly one result word in this ISA; exposed
-    for documentation and tests. *)

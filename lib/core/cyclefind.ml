@@ -31,5 +31,3 @@ let find g =
   }
 
 let comp_of t v = t.cond.scc.component.(v)
-
-let in_cycle t v = t.cycle_no.(v) > 0

@@ -18,5 +18,3 @@ val find : Graphlib.Digraph.t -> t
 
 val comp_of : t -> int -> int
 (** Condensation component of a function. *)
-
-val in_cycle : t -> int -> bool

@@ -325,19 +325,6 @@ let merge_all_quarantine inputs =
                  (fun q -> Printf.sprintf "%s (%s)" q.q_path q.q_reason)
                  (List.rev !rev_quarantined))))
 
-let load_merge ?(mode : mode = `Strict) paths =
-  let loaded = List.map (fun p -> (p, load_report ~mode p)) paths in
-  let profile (p, r) =
-    (* the path is carried separately by the quarantine record *)
-    match r with
-    | Ok (t, _) -> (p, Ok t)
-    | Error e -> (p, Error (decode_error_to_string { e with de_path = None }))
-  in
-  let report = function p, Ok (_, rep) -> Some (p, rep) | _, Error _ -> None in
-  Result.map
-    (fun (t, quarantined) -> (t, List.filter_map report loaded, quarantined))
-    (merge_all_quarantine (List.map profile loaded))
-
 (* plain data throughout, so structural equality is field equality *)
 let equal (a : t) b = a = b
 

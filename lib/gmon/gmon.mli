@@ -179,14 +179,6 @@ val merge_all_quarantine :
     returned with per-file diagnostics instead of failing the batch.
     [Error] only when no file is usable at all. *)
 
-val load_merge :
-  ?mode:mode ->
-  string list ->
-  (t * (string * report) list * quarantined list, string) result
-(** {!load_report} every path, then {!merge_all_quarantine}. Returns
-    the merged profile, the per-file decode reports of the files that
-    went into it, and the quarantined rest. *)
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -386,7 +386,7 @@ let handle_request ctx ~drain req =
        exit, so one parser (Obs.Snapshot.of_json) reads both *)
     Obs.Metrics.set g_queue (Ingest.pending ctx.ingest);
     Obs.Metrics.set g_conns ctx.active_conns;
-    Resp_ok (Obs.Metrics.to_json Obs.Metrics.default ^ "\n")
+    Resp_ok (Obs.Snapshot.(to_json (of_registry Obs.Metrics.default)) ^ "\n")
   | Query_health -> Resp_ok (health_json ctx ^ "\n")
   | Flush -> (
     match Ingest.flush ctx.ingest with

@@ -159,5 +159,3 @@ let program (p : Ast.program) =
       Buffer.add_string buf (fundef_str f))
     p.funs;
   Buffer.contents buf
-
-let pp_program ppf p = Format.pp_print_string ppf (program p)

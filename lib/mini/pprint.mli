@@ -10,5 +10,3 @@ val expr : Ast.expr -> string
 val stmt : ?indent:int -> Ast.stmt -> string
 
 val program : Ast.program -> string
-
-val pp_program : Format.formatter -> Ast.program -> unit

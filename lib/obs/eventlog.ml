@@ -18,13 +18,6 @@ let level_to_string = function
   | Warn -> "warn"
   | Error -> "error"
 
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | "error" -> Some Error
-  | _ -> None
-
 type field =
   | S of string
   | I of int

@@ -15,7 +15,6 @@
 type level = Debug | Info | Warn | Error
 
 val level_to_string : level -> string
-val level_of_string : string -> level option
 
 (** One field value. *)
 type field = S of string | I of int | F of float | B of bool

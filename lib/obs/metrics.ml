@@ -1,5 +1,6 @@
 (* The metrics registry: named counters, gauges, and fixed-log2-bucket
-   histograms, with a human-readable dump and a JSON export. One
+   histograms, with a human-readable dump (the JSON form is
+   Snapshot.to_json over Snapshot.of_registry). One
    process-wide [default] registry serves the common case (the gmon
    byte counters, the CLI exporters); components that snapshot their
    own state publish into whatever registry they are handed. *)
@@ -217,75 +218,3 @@ let dump t =
       Buffer.add_char buf '\n')
     (sorted t);
   Buffer.contents buf
-
-let to_json t =
-  let buf = Buffer.create 1024 in
-  let counters, gauges, hists =
-    List.fold_left
-      (fun (cs, gs, hs) (name, inst, _) ->
-        match inst with
-        | Counter c -> ((name, c) :: cs, gs, hs)
-        | Gauge g -> (cs, (name, g) :: gs, hs)
-        | Histogram h -> (cs, gs, (name, h) :: hs))
-      ([], [], []) (List.rev (sorted t))
-  in
-  Jsonbuf.obj buf
-    [
-      ( "counters",
-        fun () ->
-          Jsonbuf.obj buf
-            (List.map
-               (fun (n, c) -> (n, fun () -> Jsonbuf.int buf c.c_value))
-               counters) );
-      ( "gauges",
-        fun () ->
-          Jsonbuf.obj buf
-            (List.map (fun (n, g) -> (n, fun () -> Jsonbuf.int buf g.g_value)) gauges)
-      );
-      ( "histograms",
-        fun () ->
-          Jsonbuf.obj buf
-            (List.map
-               (fun (n, h) ->
-                 ( n,
-                   fun () ->
-                     let buckets =
-                       Array.to_list
-                         (Array.mapi (fun b c -> (b, c)) h.h_buckets)
-                       |> List.filter (fun (_, c) -> c > 0)
-                     in
-                     Jsonbuf.obj buf
-                       [
-                         ("count", fun () -> Jsonbuf.int buf h.h_count);
-                         ("sum", fun () -> Jsonbuf.int buf h.h_sum);
-                         ("max", fun () -> Jsonbuf.int buf h.h_max);
-                         ( "buckets",
-                           fun () ->
-                             Jsonbuf.arr buf buckets (fun (b, c) ->
-                                 let lo, hi = hist_bucket_bounds b in
-                                 Jsonbuf.obj buf
-                                   [
-                                     ("lo", fun () -> Jsonbuf.int buf lo);
-                                     ( "hi",
-                                       fun () ->
-                                         Jsonbuf.int buf (if hi = max_int then -1 else hi)
-                                     );
-                                     ("count", fun () -> Jsonbuf.int buf c);
-                                   ]) );
-                       ] ))
-               hists) );
-    ];
-  Buffer.contents buf
-
-let save t path =
-  let write oc = output_string oc (to_json t) in
-  (* /dev/stdout via open_out would write through a second fd whose
-     offset races the buffered report already on stdout; route it (and
-     "-") through the stdout channel instead. *)
-  if path = "-" || path = "/dev/stdout" then begin
-    write stdout;
-    flush stdout
-  end
-  else
-    let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc)

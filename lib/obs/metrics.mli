@@ -99,13 +99,5 @@ val views : t -> (string * view) list
 
 val dump : t -> string
 (** Human-readable listing, sorted by name; histogram buckets are
-    printed with their value ranges. *)
-
-val to_json : t -> string
-(** [{"counters":{...},"gauges":{...},"histograms":{...}}]; histogram
-    buckets carry inclusive [lo]/[hi] bounds ([hi] = -1 for the
-    unbounded top bucket). *)
-
-val save : t -> string -> unit
-(** Write {!to_json} to a file; ["-"] or ["/dev/stdout"] writes to
-    stdout. *)
+    printed with their value ranges. The JSON export is
+    {!Snapshot.to_json} over {!Snapshot.of_registry}. *)

@@ -1,10 +1,10 @@
 (* An immutable, serializable capture of a metrics registry.
 
    The registry itself is live state; a snapshot is the unit a client
-   can hold, ship, store, and subtract. Its JSON form is exactly the
-   shape Metrics.to_json has always emitted, so every existing
-   consumer of --obs-metrics files keeps working, and of_json closes
-   the loop: anything the obs layer wrote can be read back and
+   can hold, ship, store, and subtract. Its JSON form is the one
+   metrics format: --obs-metrics files, QUERY metrics answers,
+   telemetry records and proftop diffs are all to_json, and of_json
+   closes the loop: anything the obs layer wrote can be read back and
    diffed. *)
 
 type hist = {
@@ -56,9 +56,9 @@ let find_hist t name = List.assoc_opt name t.histograms
 
 (* --- JSON, both directions --------------------------------------------- *)
 
-(* Byte-identical to Metrics.to_json over the same state: same field
-   order (name-sorted within each class), same bucket encoding
-   (inclusive lo/hi, hi = -1 for the unbounded top bucket). *)
+(* Fields in the snapshot's order, which of_registry takes name-sorted
+   from the registry; buckets carry inclusive lo/hi, hi = -1 for the
+   unbounded top bucket. *)
 let to_json t =
   let buf = Buffer.create 1024 in
   Jsonbuf.obj buf
@@ -185,6 +185,19 @@ let of_value v =
   | _ -> Error "not a metrics snapshot (missing counters/gauges/histograms)"
 
 let of_json s = Result.bind (Jsonin.parse s) of_value
+
+let save reg path =
+  let write oc = output_string oc (to_json (of_registry reg)) in
+  (* /dev/stdout via open_out would write through a second fd whose
+     offset races the buffered report already on stdout; route it (and
+     "-") through the stdout channel instead. *)
+  if path = "-" || path = "/dev/stdout" then begin
+    write stdout;
+    flush stdout
+  end
+  else
+    let oc = open_out path in
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write oc)
 
 (* --- delta arithmetic --------------------------------------------------- *)
 

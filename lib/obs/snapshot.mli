@@ -1,11 +1,12 @@
 (** An immutable, serializable capture of a {!Metrics} registry.
 
-    A snapshot is what a telemetry client holds between polls: it
-    serializes to exactly the JSON shape {!Metrics.to_json} emits,
-    parses back with {!of_json}, and subtracts with {!diff} so any
-    consumer can compute "what changed since last poll" — per-second
-    rates, latency quantiles, shed percentages — without touching the
-    live registry. *)
+    A snapshot is what a telemetry client holds between polls, and
+    its JSON is the one metrics format ([--obs-metrics] files,
+    [QUERY metrics], telemetry records): it serializes with
+    {!to_json}, parses back with {!of_json}, and subtracts with
+    {!diff} so any consumer can compute "what changed since last
+    poll" — per-second rates, latency quantiles, shed percentages —
+    without touching the live registry. *)
 
 type hist = {
   h_count : int;
@@ -28,14 +29,20 @@ val of_registry : Metrics.t -> t
 (** Capture every instrument's current value. *)
 
 val to_json : t -> string
-(** Byte-identical to {!Metrics.to_json} over the same state. *)
+(** [{"counters":{...},"gauges":{...},"histograms":{...}}], fields in
+    the snapshot's order; histogram buckets carry inclusive [lo]/[hi]
+    bounds ([hi] = -1 for the unbounded top bucket). *)
 
 val of_json : string -> (t, string) result
-(** Parse what {!to_json} (or {!Metrics.to_json}) wrote. *)
+(** Parse what {!to_json} wrote. *)
 
 val of_value : Jsonin.value -> (t, string) result
 (** Same, from an already parsed JSON value (e.g. the ["metrics"]
     member of a telemetry record). *)
+
+val save : Metrics.t -> string -> unit
+(** Write {!to_json} of the registry's current values to a file; ["-"]
+    or ["/dev/stdout"] writes to stdout. *)
 
 val find_counter : t -> string -> int option
 val find_gauge : t -> string -> int option

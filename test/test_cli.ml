@@ -11,9 +11,11 @@ let exe name =
   | Some p -> p
   | None -> Alcotest.failf "CLI_%s not set" (String.uppercase_ascii name)
 
-let tmpdir = Filename.get_temp_dir_name ()
-
-let path name = Filename.concat tmpdir ("cli_test_" ^ name)
+(* Every file a case writes lands in the working directory
+   (_build/default/test), which outlives the run, so CI can upload a
+   failed case's logs and reports; dune deletes the TMPDIR it gives
+   each action. *)
+let path name = "cli_test_" ^ name
 
 (* the offset of the first [needle] in [haystack] *)
 let find ~needle haystack =
@@ -26,6 +28,25 @@ let find ~needle haystack =
   go 0
 
 let contains ~needle haystack = find ~needle haystack <> None
+
+let parse_json what text =
+  match Obs.Jsonin.parse text with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+(* The value at a path of object keys, converted by [conv] (one of the
+   Obs.Jsonin accessors); fails the case naming the path. *)
+let field conv v keys =
+  let name = String.concat "." keys in
+  let at =
+    List.fold_left
+      (fun v k ->
+        match Obs.Jsonin.member k v with
+        | Some v -> v
+        | None -> Alcotest.failf "JSON lacks %s" name)
+      v keys
+  in
+  match conv at with Some x -> x | None -> Alcotest.failf "%s has the wrong type" name
 
 (* Run a command, capture stdout, return (exit code, stdout). *)
 let run_cmd args =
@@ -541,6 +562,58 @@ let test_lint_cli () =
   ignore (run_cmd [ exe "minic"; slow_src; "-o"; other_obj ]);
   let code, _ = run_cmd [ exe "proflint"; other_obj; gmon ] in
   check_int "mismatched binary/profile exits 2" 2 code;
+  (* the fixtures: smoke's whole-run profile and its epoch container
+     lint clean together *)
+  let smoke = path "lint_smoke.obj" and smoke_gmon = path "lint_smoke.gmon" in
+  let smoke_epochs = path "lint_smoke.epochs" in
+  ignore (run_cmd [ exe "minic"; "fixtures/smoke.mini"; "--pg"; "-o"; smoke ]);
+  let code, _ =
+    run_cmd
+      [ exe "minirun"; smoke; "-q"; "--gmon"; smoke_gmon; "--epoch-ticks"; "4";
+        "--epochs"; smoke_epochs ]
+  in
+  check_int "minirun --epochs exits 0" 0 code;
+  let code, _ = run_cmd [ exe "proflint"; smoke; smoke_gmon; smoke_epochs ] in
+  check_int "whole-run profile plus epoch container lint clean" 0 code;
+  (* smoke_mismatched declares smoke's routines in another order, so
+     smoke's call sites land mid-function in its build *)
+  let mismatched = path "lint_mismatched.obj" in
+  ignore
+    (run_cmd [ exe "minic"; "fixtures/smoke_mismatched.mini"; "--pg"; "-o"; mismatched ]);
+  let code, _ = run_cmd [ exe "proflint"; mismatched; smoke_gmon ] in
+  check_int "smoke's profile against the reordered build exits 2" 2 code;
+  (* the dataflow-backed rules over the remaining fixture *)
+  let slow = path "lint_slow.obj" and slow_gmon = path "lint_slow.gmon" in
+  ignore (run_cmd [ exe "minic"; "fixtures/smoke_slow.mini"; "--pg"; "-o"; slow ]);
+  let code, _ = run_cmd [ exe "minirun"; slow; "-q"; "--gmon"; slow_gmon ] in
+  check_int "smoke_slow runs" 0 code;
+  let code, _ = run_cmd [ exe "proflint"; slow; slow_gmon ] in
+  check_int "smoke_slow lints clean" 0 code;
+  (* --json reruns are byte-identical, and the report finds no error
+     and sees every finding in both profiles: the epoch sum is the
+     whole-run profile *)
+  let lint_json () =
+    let code, out =
+      run_cmd [ exe "proflint"; smoke; smoke_gmon; smoke_epochs; "--json" ]
+    in
+    check_int "proflint --json exits 0" 0 code;
+    out
+  in
+  let report = lint_json () in
+  Out_channel.with_open_text (path "lint_report.json") (fun oc ->
+      Out_channel.output_string oc report);
+  Alcotest.(check string) "--json reruns are byte-identical" report (lint_json ());
+  let v = parse_json "lint report" report in
+  Alcotest.(check string) "report schema" "gprof-repro.lint/1"
+    (field Obs.Jsonin.to_string v [ "schema" ]);
+  check_int "no errors" 0 (field Obs.Jsonin.to_int v [ "summary"; "errors" ]);
+  let findings = field Obs.Jsonin.to_list v [ "findings" ] in
+  check_bool "findings reported" true (findings <> []);
+  List.iter
+    (fun f ->
+      check_int "finding seen in both profiles" 2
+        (field Obs.Jsonin.to_int f [ "profiles" ]))
+    findings;
   (* an undecodable profile is an operational failure, not a finding *)
   let junk = path "lintjunk.gmon" in
   Out_channel.with_open_text junk (fun oc ->
@@ -625,10 +698,85 @@ let test_werror_cli () =
   let code, _ = run_cmd [ exe "minic"; clean; "-o"; obj; "--werror" ] in
   check_int "clean program passes --werror" 0 code
 
+(* Start [profd --serve] in the background, its stderr appended to
+   [log], and wait until it answers. [env] prefixes the command, as in
+   "PROFD_FAULTS=... ". *)
+let start_profd ?(env = "") ~sock ~pidfile ~log args =
+  let cmd =
+    Printf.sprintf "%s%s --serve --socket %s %s 2>> %s & echo $! > %s" env
+      (Filename.quote (exe "profd")) (Filename.quote sock)
+      (String.concat " " (List.map Filename.quote args))
+      (Filename.quote log) (Filename.quote pidfile)
+  in
+  check_int "daemon starts" 0 (Sys.command cmd);
+  let code, _ =
+    run_cmd [ exe "profd"; "--socket"; sock; "--wait"; "--timeout"; "30" ]
+  in
+  check_int "daemon ready" 0 code
+
+(* Whether [pid] has exited. A daemon started with & is adopted by
+   init, and stays a zombie until init reaps it, which some take
+   seconds to do; Linux shows that state as Z in /proc. *)
+let exited pid =
+  match Unix.kill pid 0 with
+  | exception Unix.Unix_error _ -> true
+  | () -> (
+    match
+      In_channel.with_open_text (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all
+    with
+    | exception Sys_error _ -> false
+    | stat -> (
+      (* the state follows the parenthesized command name *)
+      match String.rindex_opt stat ')' with
+      | Some i -> i + 2 < String.length stat && stat.[i + 2] = 'Z'
+      | None -> false))
+
+(* Poll the daemon of [pidfile] every 0.1 s; fail with [what] if it is
+   still running after 10 s. *)
+let await_exit ~what pidfile =
+  let pid =
+    int_of_string (String.trim (In_channel.with_open_text pidfile In_channel.input_all))
+  in
+  let rec go n =
+    if exited pid then ()
+    else if n > 0 then begin
+      Unix.sleepf 0.1;
+      go (n - 1)
+    end
+    else Alcotest.fail what
+  in
+  go 100
+
+(* SHUTDOWN, then wait for the process to go: its store, metrics dump
+   and event log are complete only once it has exited. *)
+let stop_profd ~sock ~pidfile =
+  let code, _ =
+    run_cmd [ exe "profd"; "--socket"; sock; "--retries"; "8"; "--shutdown" ]
+  in
+  check_int "shutdown exits 0" 0 code;
+  await_exit ~what:"daemon ignored SHUTDOWN" pidfile
+
+(* Run a daemon case; when a check raises, kill -9 the daemon of every
+   listed pidfile, so a failed case never leaves one behind. *)
+let with_daemons pidfiles f =
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) pidfiles;
+  try f ()
+  with e ->
+    List.iter
+      (fun p ->
+        if Sys.file_exists p then
+          ignore
+            (Sys.command
+               (Printf.sprintf "kill -9 $(cat %s) 2> /dev/null" (Filename.quote p))))
+      pidfiles;
+    raise e
+
 (* The aggregation daemon, driven over its real socket: submit (good
    and corrupt), survive kill -9, recover on restart, and end up
    byte-equivalent to an offline merge of the same runs. *)
 let test_profd_cli () =
+  let pidfile = path "profd.pid" in
+  with_daemons [ pidfile ] @@ fun () ->
   let src = write_source () in
   let obj = path "prog.obj" in
   ignore (run_cmd [ exe "minic"; src; "--pg"; "-o"; obj ]);
@@ -641,19 +789,9 @@ let test_profd_cli () =
       Out_channel.output_string oc "not profile data");
   let sock = path "profd.sock" and store = path "profd_store" in
   if Sys.file_exists store then rm_rf store;
-  let pidfile = path "profd.pid" and serve_log = path "profd_serve.log" in
+  let serve_log = path "profd_serve.log" in
   let start () =
-    let cmd =
-      Printf.sprintf "%s --serve --socket %s --store %s --batch 2 2>> %s & echo $! > %s"
-        (Filename.quote (exe "profd")) (Filename.quote sock)
-        (Filename.quote store) (Filename.quote serve_log)
-        (Filename.quote pidfile)
-    in
-    check_int "daemon starts" 0 (Sys.command cmd);
-    let code, _ =
-      run_cmd [ exe "profd"; "--socket"; sock; "--wait"; "--timeout"; "30" ]
-    in
-    check_int "daemon ready" 0 code
+    start_profd ~sock ~pidfile ~log:serve_log [ "--store"; store; "--batch"; "2" ]
   in
   Out_channel.with_open_text serve_log (fun _ -> ());
   start ();
@@ -763,28 +901,10 @@ let test_profd_cli () =
   check_bool "daemon sreport bytes = offline merge bytes" true
     (read daemon_sprof = read offline_sprof);
   (* gprofx can read the store directly, without the daemon *)
-  let code, _ = run_cmd [ exe "profd"; "--socket"; sock; "--shutdown" ] in
-  check_int "shutdown exits 0" 0 code;
-  Unix.sleepf 0.3;
+  stop_profd ~sock ~pidfile;
   let code, out = run_cmd [ exe "gprofx"; obj; "--store"; store; "--flat" ] in
   check_int "gprofx --store exits 0" 0 code;
   check_bool "store-backed listing" true (contains ~needle:"helper" out)
-
-(* Start [profd --serve] in the background, its stderr appended to
-   [log], and wait until it answers. [env] prefixes the command, as in
-   "PROFD_FAULTS=... ". *)
-let start_profd ?(env = "") ~sock ~pidfile ~log args =
-  let cmd =
-    Printf.sprintf "%s%s --serve --socket %s %s 2>> %s & echo $! > %s" env
-      (Filename.quote (exe "profd")) (Filename.quote sock)
-      (String.concat " " (List.map Filename.quote args))
-      (Filename.quote log) (Filename.quote pidfile)
-  in
-  check_int "daemon starts" 0 (Sys.command cmd);
-  let code, _ =
-    run_cmd [ exe "profd"; "--socket"; sock; "--wait"; "--timeout"; "30" ]
-  in
-  check_int "daemon ready" 0 code
 
 (* Run a command until it exits 0, at most [n] times, 0.2 s apart. *)
 let retry ~what ?(n = 100) args =
@@ -881,16 +1001,7 @@ let chaos_steps ~pid_a ~pid_c =
   let out = stats sock in
   check_bool "every run stored once" true (contains ~needle:"\"total_runs\":4" out);
   check_bool "nothing quarantined" true (contains ~needle:"\"quarantined\":0" out);
-  let code, _ = run_cmd [ exe "profd"; "--socket"; sock; "--shutdown" ] in
-  check_int "shutdown exits 0" 0 code;
-  let rec wait_for_metrics n =
-    if (not (Sys.file_exists metrics && (Unix.stat metrics).st_size > 0)) && n > 0
-    then begin
-      Unix.sleepf 0.1;
-      wait_for_metrics (n - 1)
-    end
-  in
-  wait_for_metrics 50;
+  stop_profd ~sock ~pidfile;
   let dumped = read metrics in
   check_bool "the daemon counted the torn connections" true
     (not (contains ~needle:"\"profd.conn.torn\":0" dumped)
@@ -941,110 +1052,122 @@ let chaos_steps ~pid_a ~pid_c =
   (* SIGTERM drains, then exits *)
   check_int "SIGTERM" 0
     (Sys.command (Printf.sprintf "kill -TERM $(cat %s)" (Filename.quote pidfile)));
-  let pid = int_of_string (String.trim (read pidfile)) in
-  let rec gone n =
-    match Unix.kill pid 0 with
-    | () when n > 0 ->
-      Unix.sleepf 0.1;
-      gone (n - 1)
-    | () -> false
-    | exception Unix.Unix_error _ -> true
-  in
-  check_bool "daemon exits on SIGTERM" true (gone 100);
+  await_exit ~what:"daemon ignored SIGTERM" pidfile;
   check_bool "drain announced" true (contains ~needle:"draining" (read log))
 
-(* A failed check must not leave a daemon behind. *)
 let test_profd_chaos_cli () =
   let pid_a = path "chaos_a.pid" and pid_c = path "chaos_c.pid" in
-  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ pid_a; pid_c ];
-  try chaos_steps ~pid_a ~pid_c
-  with e ->
-    List.iter
-      (fun p ->
-        if Sys.file_exists p then
-          ignore
-            (Sys.command
-               (Printf.sprintf "kill -9 $(cat %s) 2> /dev/null" (Filename.quote p))))
-      [ pid_a; pid_c ];
-    raise e
+  with_daemons [ pid_a; pid_c ] (fun () -> chaos_steps ~pid_a ~pid_c)
 
-(* The live-telemetry loop end to end: a daemon with --telemetry-out
-   and --log, watched by proftop (--once --json), its metrics snapshots
-   subtracted offline (--diff), and its telemetry series verified
-   (--telemetry). *)
+(* The live-telemetry loop end to end, under injected latency: a
+   daemon whose fault plane delays every RPC 15 ms, run with
+   --telemetry-out and --log, watched by proftop (--once --json), its
+   metrics snapshots subtracted offline (--diff), and its telemetry
+   series verified (--telemetry). *)
 let test_proftop_cli () =
+  let pidfile = path "tele.pid" in
+  with_daemons [ pidfile ] @@ fun () ->
   let src = write_source () in
   let obj = path "tele.obj" in
   ignore (run_cmd [ exe "minic"; src; "--pg"; "-o"; obj ]);
-  let g1 = path "t1.gmon" in
+  let g1 = path "t1.gmon" and g2 = path "t2.gmon" in
   ignore (run_cmd [ exe "minirun"; obj; "--gmon"; g1; "-q"; "--seed"; "1" ]);
+  ignore (run_cmd [ exe "minirun"; obj; "--gmon"; g2; "-q"; "--seed"; "2" ]);
   let sock = path "tele.sock" and store = path "tele_store" in
   if Sys.file_exists store then rm_rf store;
   let tele = path "tele.jsonl" and events = path "tele_events.jsonl" in
-  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ tele; events ];
-  let pidfile = path "tele.pid" in
-  let cmd =
-    Printf.sprintf
-      "%s --serve --socket %s --store %s --batch 1 --telemetry-out %s \
-       --telemetry-interval 0.1 --log %s 2> /dev/null & echo $! > %s"
-      (Filename.quote (exe "profd")) (Filename.quote sock)
-      (Filename.quote store) (Filename.quote tele) (Filename.quote events)
-      (Filename.quote pidfile)
-  in
-  check_int "daemon starts" 0 (Sys.command cmd);
-  let code, _ =
-    run_cmd [ exe "profd"; "--socket"; sock; "--wait"; "--timeout"; "30" ]
-  in
-  check_int "daemon ready" 0 code;
-  (* snapshot A — then two known RPCs — snapshot B *)
+  let log = path "tele_serve.log" in
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ tele; events; log ];
+  start_profd ~env:"PROFD_FAULTS=seed=11,latency=1.0,delay_ms=15 " ~sock ~pidfile
+    ~log
+    [ "--store"; store; "--batch"; "1"; "--telemetry-out"; tele;
+      "--telemetry-interval"; "0.1"; "--log"; events ];
+  (* snapshot A — then two submissions and a stats query — snapshot B *)
   let a = path "tele_a.json" and b = path "tele_b.json" in
-  let save p body =
-    Out_channel.with_open_text p (fun oc -> Out_channel.output_string oc body)
+  let snapshot p =
+    let code, out =
+      run_cmd [ exe "proftop"; "--socket"; sock; "--once"; "--json" ]
+    in
+    check_int "proftop --once --json exits 0" 0 code;
+    Out_channel.with_open_text p (fun oc -> Out_channel.output_string oc out);
+    parse_json p out
   in
-  let code, out =
-    run_cmd [ exe "proftop"; "--socket"; sock; "--once"; "--json" ]
-  in
-  check_int "first snapshot exits 0" 0 code;
-  save a out;
-  ignore (run_cmd [ exe "profd"; "--socket"; sock; "--submit"; g1 ]);
+  ignore (snapshot a);
+  let code, _ = run_cmd [ exe "profd"; "--socket"; sock; "--submit"; g1; g2 ] in
+  check_int "two submissions exit 0" 0 code;
   ignore (run_cmd [ exe "profd"; "--socket"; sock; "--query"; "stats" ]);
-  let code, snap =
-    run_cmd [ exe "proftop"; "--socket"; sock; "--once"; "--json" ]
+  let snap = snapshot b in
+  let int keys = field Obs.Jsonin.to_int snap keys in
+  (* well-formed health *)
+  check_bool "health names a version" true
+    (field Obs.Jsonin.to_string snap [ "health"; "version" ] <> "");
+  check_bool "pid > 0" true (int [ "health"; "pid" ] > 0);
+  check_bool "uptime > 0" true (field Obs.Jsonin.to_float snap [ "health"; "uptime" ] > 0.0);
+  check_bool "queue cap > 0" true (int [ "health"; "queue"; "cap" ] > 0);
+  check_bool "conns max > 0" true (int [ "health"; "conns"; "max" ] > 0);
+  let shards = int [ "health"; "store"; "shards" ] in
+  check_bool "store shards > 0" true (shards > 0);
+  check_int "one per_shard row per shard" shards
+    (List.length (field Obs.Jsonin.to_list snap [ "health"; "store"; "per_shard" ]));
+  (* per-verb RPC counts and quantiles, derived by proftop *)
+  check_bool "both submissions counted" true (int [ "derived"; "rpc"; "submit"; "count" ] >= 2);
+  check_bool "metrics RPC counted" true (int [ "derived"; "rpc"; "metrics"; "count" ] >= 1);
+  check_bool "submit p99 derived" true
+    (field Obs.Jsonin.to_float snap [ "derived"; "rpc"; "submit"; "p99_us" ] > 0.0);
+  let metrics =
+    match Obs.Snapshot.of_value (field Option.some snap [ "metrics" ]) with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "metrics: %s" e
   in
-  check_int "second snapshot exits 0" 0 code;
-  save b snap;
-  check_bool "health carried" true (contains ~needle:"\"version\"" snap);
-  check_bool "submit latency histogram present" true
-    (contains ~needle:"profd.rpc.submit.latency" snap);
-  check_bool "derived quantiles present" true
-    (contains ~needle:"\"p99_us\"" snap);
   check_bool "byte accounting present" true
-    (contains ~needle:"profd.bytes.read" snap);
+    (Obs.Snapshot.find_counter metrics "profd.bytes.read" <> None);
+  (* the injected 15 ms shows in the submit latency buckets *)
+  (match Obs.Snapshot.find_hist metrics "profd.rpc.submit.latency" with
+  | None -> Alcotest.fail "no submit latency histogram"
+  | Some h ->
+    let slow =
+      List.fold_left
+        (fun n (bucket, count) ->
+          if fst (Obs.Metrics.hist_bucket_bounds bucket) >= 8192 then n + count else n)
+        0 h.h_buckets
+    in
+    check_bool "two submits in buckets from 8192 us up" true (slow >= 2);
+    check_bool "latency max at least the injected 15 ms" true (h.h_max >= 15000));
   (* the delta between the snapshots is exactly the traffic between
-     them: health(A) + submit + stats + metrics(B) = 4 requests *)
+     them: health(A) + 2 submits + stats + metrics(B) = 5 requests *)
   let code, out = run_cmd [ exe "proftop"; "--diff"; a; b ] in
   check_int "diff exits 0" 0 code;
-  check_bool "request delta is exact" true
-    (contains ~needle:"\"profd.requests\":4" out);
-  check_bool "submit delta is exact" true
-    (contains ~needle:"\"ingest.submitted\":1" out);
+  (match Obs.Snapshot.of_json out with
+  | Error e -> Alcotest.failf "diff: %s" e
+  | Ok d ->
+    Alcotest.(check (option int)) "request delta is exact" (Some 5)
+      (Obs.Snapshot.find_counter d "profd.requests");
+    Alcotest.(check (option int)) "submit delta is exact" (Some 2)
+      (Obs.Snapshot.find_counter d "ingest.submitted"));
   (* a human frame renders against the live daemon too *)
   let code, out = run_cmd [ exe "proftop"; "--socket"; sock; "--once" ] in
   check_int "plain frame exits 0" 0 code;
   check_bool "frame shows the rpc table" true (contains ~needle:"submit" out);
-  let code, _ = run_cmd [ exe "profd"; "--socket"; sock; "--shutdown" ] in
-  check_int "shutdown exits 0" 0 code;
-  Unix.sleepf 0.3;
-  (* the event log is structured JSONL with the lifecycle in order *)
-  let ev = In_channel.with_open_text events In_channel.input_all in
-  check_bool "serve.start logged" true (contains ~needle:"\"event\":\"serve.start\"" ev);
-  check_bool "drain logged" true (contains ~needle:"\"event\":\"draining\"" ev);
-  check_bool "records carry seqs" true (contains ~needle:"\"seq\":0" ev);
+  stop_profd ~sock ~pidfile;
+  (* the event log is structured JSONL: seqs count up from 0, and the
+     lifecycle is logged in order *)
+  let records =
+    List.map (parse_json events) (In_channel.with_open_text events In_channel.input_lines)
+  in
+  Alcotest.(check (list int)) "records carry consecutive seqs"
+    (List.init (List.length records) Fun.id)
+    (List.map (fun r -> field Obs.Jsonin.to_int r [ "seq" ]) records);
+  let lifecycle = [ "serve.start"; "draining"; "drain.done" ] in
+  Alcotest.(check (list string)) "lifecycle logged in order" lifecycle
+    (List.filter
+       (fun e -> List.mem e lifecycle)
+       (List.map (fun r -> field Obs.Jsonin.to_string r [ "event" ]) records));
   (* the telemetry series verifies: checksums, seq, monotonic counters *)
   let code, out = run_cmd [ exe "proftop"; "--telemetry"; tele; "--json" ] in
   check_int "telemetry verifies" 0 code;
-  check_bool "verification says ok" true (contains ~needle:"\"ok\":true" out);
-  check_bool "no damaged lines" true (contains ~needle:"\"damaged\":0" out);
+  let v = parse_json "telemetry verdict" out in
+  check_bool "verification says ok" true (Obs.Jsonin.member "ok" v = Some (Obs.Jsonin.Bool true));
+  check_int "no damaged lines" 0 (field Obs.Jsonin.to_int v [ "damaged" ]);
   (* --obs-trace parity: the client dumps a Chrome trace on exit *)
   let trace = path "tele_trace.json" in
   let code, _ =

@@ -235,15 +235,21 @@ let test_metrics_export () =
   in
   check_bool "dump sorts by name" true
     (index_of "a.count" >= 0 && index_of "a.count" < index_of "z.depth");
-  let j = Obs.Metrics.to_json r in
+  let json () = Obs.Snapshot.to_json (Obs.Snapshot.of_registry r) in
+  let j = json () in
   check_bool "json parses" true (json_ok j);
   check_bool "json has the counter" true (contains ~needle:"\"a.count\":2" j);
   check_bool "json has the gauge" true (contains ~needle:"\"z.depth\":7" j);
   check_bool "json has bucket bounds" true (contains ~needle:"\"lo\":" j);
   (* Names requiring escaping must not corrupt the document. *)
   Obs.Metrics.set (Obs.Metrics.gauge r "weird\"name\n") 1;
-  check_bool "json stays valid under escaping" true
-    (json_ok (Obs.Metrics.to_json r))
+  check_bool "json stays valid under escaping" true (json_ok (json ()));
+  (* The exact bytes of every --obs-metrics file and QUERY metrics
+     answer: the bottom bucket, a small one, and the unbounded top. *)
+  List.iter (Obs.Metrics.observe (Obs.Metrics.histogram r "m.lat")) [ 0; 1 lsl 40 ];
+  check_string "exported bytes"
+    {|{"counters":{"a.count":2},"gauges":{"weird\"name\n":1,"z.depth":7},"histograms":{"m.lat":{"count":3,"sum":1099511627779,"max":1099511627776,"buckets":[{"lo":0,"hi":0,"count":1},{"lo":2,"hi":3,"count":1},{"lo":1073741824,"hi":-1,"count":1}]}}}|}
+    (json ())
 
 (* ------------------------------------------------------------------ *)
 (* Trace *)
@@ -440,14 +446,13 @@ let build_registry mutations =
 
 let test_snapshot_roundtrip () =
   let r = build_registry [ (5, 1, 17, [ 0; 1; 3; 900; 7_000_000 ]) ] in
-  let json = Obs.Metrics.to_json r in
-  (* of_registry serializes byte-identically to the live exporter *)
-  check_string "of_registry emits Metrics.to_json" json
-    (Obs.Snapshot.to_json (Obs.Snapshot.of_registry r));
-  (* and the parse-back is exact *)
+  let captured = Obs.Snapshot.of_registry r in
+  let json = Obs.Snapshot.to_json captured in
+  (* the parse-back is exact *)
   match Obs.Snapshot.of_json json with
   | Error e -> Alcotest.failf "of_json: %s" e
   | Ok snap ->
+    check_bool "parse-back equals the capture" true (snap = captured);
     check_string "parse-back reserializes identically" json
       (Obs.Snapshot.to_json snap);
     check_bool "counter recovered" true
@@ -463,7 +468,7 @@ let test_snapshot_roundtrip () =
         (List.mem_assoc (Obs.Metrics.hist_bucket_of 900) h.h_buckets))
 
 let qcheck_snapshot_roundtrip =
-  QCheck.Test.make ~name:"Metrics.to_json → Snapshot.of_json is exact"
+  QCheck.Test.make ~name:"to_json then of_json is exact"
     ~count:100
     QCheck.(
       list_of_size (Gen.int_range 1 6)
@@ -471,13 +476,11 @@ let qcheck_snapshot_roundtrip =
            (int_range (-100) 100_000)
            (list_of_size (Gen.int_range 0 12) (int_range (-5) 1_000_000_000))))
     (fun mutations ->
-      let r = build_registry mutations in
-      let json = Obs.Metrics.to_json r in
+      let captured = Obs.Snapshot.of_registry (build_registry mutations) in
+      let json = Obs.Snapshot.to_json captured in
       match Obs.Snapshot.of_json json with
       | Error e -> QCheck.Test.fail_report e
-      | Ok snap ->
-        Obs.Snapshot.to_json snap = json
-        && Obs.Snapshot.to_json (Obs.Snapshot.of_registry r) = json)
+      | Ok snap -> snap = captured && Obs.Snapshot.to_json snap = json)
 
 let test_snapshot_diff_and_rates () =
   let r = build_registry [ (10, 2, 5, [ 100; 200 ]) ] in
@@ -519,7 +522,7 @@ let test_hist_quantile () =
   let h = Obs.Metrics.histogram r "q" in
   (* all mass in one bucket: quantiles interpolate inside [64,128) *)
   for _ = 1 to 100 do Obs.Metrics.observe h 100 done;
-  let snap = Obs.Metrics.to_json r in
+  let snap = Obs.Snapshot.(to_json (of_registry r)) in
   (match Obs.Snapshot.of_json snap with
   | Error e -> Alcotest.failf "of_json: %s" e
   | Ok s -> (
@@ -533,7 +536,7 @@ let test_hist_quantile () =
       (* the top bucket clamps to the observed max, not max_int *)
       Obs.Metrics.observe h max_int;
       let s2 =
-        Result.get_ok (Obs.Snapshot.of_json (Obs.Metrics.to_json r))
+        Result.get_ok Obs.Snapshot.(of_json (to_json (of_registry r)))
       in
       let hist2 = Option.get (Obs.Snapshot.find_hist s2 "q") in
       check_bool "p100 clamped to max" true

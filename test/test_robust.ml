@@ -355,7 +355,21 @@ let test_load_merge_mixed_batch () =
   in
   let salvaged0 = Obs.Metrics.counter_value salvaged_files in
   let quarantined0 = Obs.Metrics.counter_value quarantined_files in
-  (match Gmon.load_merge ~mode:`Salvage [ pa; truncated; pb; garbage ] with
+  (* gprofx --lenient's path: decode each file with its report, then
+     sum what decodes and quarantine the rest *)
+  let load_merge mode paths =
+    let per_file = List.map (fun p -> (p, Gmon.load_report ~mode p)) paths in
+    let reports =
+      List.filter_map (function p, Ok (_, r) -> Some (p, r) | _, Error _ -> None) per_file
+    in
+    Gmon.merge_all_quarantine
+      (List.map
+         (fun (p, r) ->
+           (p, Result.map_error Gmon.decode_error_to_string (Result.map fst r)))
+         per_file)
+    |> Result.map (fun (sum, quarantined) -> (sum, reports, quarantined))
+  in
+  (match load_merge `Salvage [ pa; truncated; pb; garbage ] with
   | Error e -> Alcotest.fail e
   | Ok (sum, reports, quarantined) ->
     Alcotest.(check (list string))
@@ -378,7 +392,7 @@ let test_load_merge_mixed_batch () =
     check_bool "quarantine metrics advanced" true
       (Obs.Metrics.counter_value quarantined_files > quarantined0));
   (* strict mode quarantines the torn file too *)
-  match Gmon.load_merge ~mode:`Strict [ pa; truncated; pb; garbage ] with
+  match load_merge `Strict [ pa; truncated; pb; garbage ] with
   | Error e -> Alcotest.fail e
   | Ok (sum, _, quarantined) ->
     Alcotest.(check (list string))
