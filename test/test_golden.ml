@@ -29,7 +29,11 @@
      (program, option set, renderer) for fixtures/smoke.mini and every
      stock workload, each built -pg and run with the default VM config
      (listings.txt), and the full text of the Figure 4 listing
-     (figure4.txt).
+     (figure4.txt);
+   - the full text of the timeline digest of three multi-epoch
+     containers: the committed smoke.epochs against smoke.mini built
+     -pg, and the matrix and indirect workloads run with a 25-tick epoch
+     window (timeline.txt).
 
    On a mismatch the test writes the table it computed next to itself
    as [<table>.actual] (under _build/default/test), so an intended
@@ -427,6 +431,39 @@ let test_listings () =
        (analysis "figure4" Gprof_core.Report.default_options Workloads.Figure4.objfile
           Workloads.Figure4.gmon))
 
+let test_timeline () =
+  let digest what o c =
+    match Gprof_core.Export.timeline o c with
+    | Ok s -> Printf.sprintf "== %s\n%s" what s
+    | Error e -> Alcotest.failf "%s timeline: %s" what e
+  in
+  let smoke =
+    let o =
+      match
+        Compile.Codegen.compile_source ~options:Compile.Codegen.profiling_options
+          (read_file "fixtures/smoke.mini")
+      with
+      | Ok o -> o
+      | Error e -> Alcotest.fail e
+    in
+    match Gmon.Epoch.load (golden "smoke.epochs") with
+    | Ok c -> digest "smoke" o c
+    | Error e -> Alcotest.fail e
+  in
+  let windowed (w : Workloads.Programs.t) =
+    let config = { Vm.Machine.default_config with epoch_ticks = Some 25 } in
+    match Workloads.Driver.run ~config w with
+    | Error e -> Alcotest.fail e
+    | Ok r -> (
+      match Vm.Machine.epochs r.machine with
+      | Some c -> digest w.w_name r.objfile c
+      | None -> Alcotest.failf "%s: no epochs" w.w_name)
+  in
+  check_text "timeline.txt"
+    (String.concat ""
+       [ smoke; windowed Workloads.Programs.matrix;
+         windowed Workloads.Programs.indirect ])
+
 let () =
   Alcotest.run "golden"
     [
@@ -437,5 +474,9 @@ let () =
           Alcotest.test_case "truncation and flip outcomes" `Quick test_outcomes;
           Alcotest.test_case "metric deltas" `Quick test_metric_deltas;
         ] );
-      ("reports", [ Alcotest.test_case "rendered listings" `Quick test_listings ]);
+      ( "reports",
+        [
+          Alcotest.test_case "rendered listings" `Quick test_listings;
+          Alcotest.test_case "timeline digest" `Quick test_timeline;
+        ] );
     ]
