@@ -372,28 +372,38 @@ let hist_findings (o : Objfile.t) (g : Gmon.t) =
       let i = first 0 n in
       i < n && syms.(i).Objfile.addr < hi
   in
-  Array.iteri
-    (fun i count ->
-      if count > 0 then begin
-        let lo, hi = Gmon.bucket_range h i in
-        if lo < 0 || hi > len then
-          acc :=
-            finding ~addr:lo "hist-geometry"
-              "bucket %d ([%d,%d), %d tick%s) falls outside the text segment \
-               [0,%d)"
-              i lo hi count
-              (if count = 1 then "" else "s")
-              len
-            :: !acc
-        else if not (covered_by_symbol lo hi) then
-          acc :=
-            finding ~addr:lo "hist-gap-ticks"
-              "bucket %d ([%d,%d)) has %d tick%s but no routine covers it" i lo
-              hi count
-              (if count = 1 then "" else "s")
-            :: !acc
-      end)
-    h.h_counts;
+  if h.h_bucket_size <= 0 then
+    (* no bucket has an address range, so none is read, here or by the
+       other profile rules ({!Gmon.iter_overlapping} visits nothing) *)
+    acc :=
+      finding "hist-geometry"
+        "histogram bucket size %d is not positive: no bucket maps to an \
+         address"
+        h.h_bucket_size
+      :: !acc
+  else
+    Array.iteri
+      (fun i count ->
+        if count > 0 then begin
+          let lo, hi = Gmon.bucket_range h i in
+          if lo < 0 || hi > len then
+            acc :=
+              finding ~addr:lo "hist-geometry"
+                "bucket %d ([%d,%d), %d tick%s) falls outside the text segment \
+                 [0,%d)"
+                i lo hi count
+                (if count = 1 then "" else "s")
+                len
+              :: !acc
+          else if not (covered_by_symbol lo hi) then
+            acc :=
+              finding ~addr:lo "hist-gap-ticks"
+                "bucket %d ([%d,%d)) has %d tick%s but no routine covers it" i lo
+                hi count
+                (if count = 1 then "" else "s")
+              :: !acc
+        end)
+      h.h_counts;
   List.rev !acc
 
 let arc_findings (o : Objfile.t) (indirect : Indirect.t) (g : Gmon.t) =
@@ -491,25 +501,13 @@ let statics_profile_findings (st : statics) (o : Objfile.t) (g : Gmon.t) =
   let acc = ref [] in
   let emit f = acc := f :: !acc in
   let h = g.Gmon.hist in
-  (* buckets are uniform, so only the indices overlapping [lo,hi)
-     need visiting — these run once per block, and a linear sweep of
-     the whole histogram each time is what pushes the lint past its
-     per-instruction budget *)
-  let overlapping lo hi f =
-    let nb = Array.length h.Gmon.h_counts in
-    if nb > 0 && hi > h.Gmon.h_lowpc && lo < h.Gmon.h_highpc then begin
-      let bs = h.Gmon.h_bucket_size in
-      let i_min = max 0 ((max lo h.Gmon.h_lowpc - h.Gmon.h_lowpc) / bs) in
-      let i_max = min (nb - 1) ((hi - 1 - h.Gmon.h_lowpc) / bs) in
-      for i = i_min to i_max do
-        f i h.Gmon.h_counts.(i)
-      done
-    end
-  in
+  (* these run once per block, so each visits only the buckets
+     overlapping [lo,hi); a sweep of the whole histogram each time is
+     what pushes the lint past its per-instruction budget *)
   let buckets_within lo hi =
     (* (buckets fully inside [lo,hi), their summed ticks) *)
     let n = ref 0 and t = ref 0 in
-    overlapping lo hi (fun i count ->
+    Gmon.iter_overlapping h ~lo ~hi (fun i count ->
         let blo, bhi = Gmon.bucket_range h i in
         if blo >= lo && bhi <= hi && bhi > blo then begin
           incr n;
@@ -519,21 +517,18 @@ let statics_profile_findings (st : statics) (o : Objfile.t) (g : Gmon.t) =
   in
   let ticks_touching lo hi =
     let t = ref 0 in
-    overlapping lo hi (fun i count ->
-        let blo, bhi = Gmon.bucket_range h i in
-        if count > 0 && blo < hi && bhi > lo then t := !t + count);
+    Gmon.iter_overlapping h ~lo ~hi (fun _ count ->
+        if count > 0 then t := !t + count);
     !t
   in
   (* index the arcs once: the per-function fan-in totals and the
      per-site "did any arc leave here" test are each asked O(funcs) and
      O(call sites) times, and a list scan per ask is quadratic *)
-  let arc_from = Hashtbl.create 64 and arc_into = Hashtbl.create 64 in
+  let arc_into = Reach.calls_into o g in
+  let arc_from = Hashtbl.create 64 in
   List.iter
     (fun (a : Gmon.arc) ->
-      if a.Gmon.a_count > 0 then Hashtbl.replace arc_from a.Gmon.a_from ();
-      Hashtbl.replace arc_into a.Gmon.a_self
-        (a.Gmon.a_count
-        + Option.value ~default:0 (Hashtbl.find_opt arc_into a.Gmon.a_self)))
+      if a.Gmon.a_count > 0 then Hashtbl.replace arc_from a.Gmon.a_from ())
     g.Gmon.arcs;
   Array.iteri
     (fun i (f : Cfg.func) ->
@@ -543,9 +538,7 @@ let statics_profile_findings (st : statics) (o : Objfile.t) (g : Gmon.t) =
         let name = sym.Objfile.name in
         let plain = Dataflow.reachable dom.Dom.d_graph in
         let fticks = ticks_touching sym.Objfile.addr (sym.Objfile.addr + sym.Objfile.size) in
-        let fcalls =
-          Option.value ~default:0 (Hashtbl.find_opt arc_into sym.Objfile.addr)
-        in
+        let fcalls = arc_into.(i) in
         (* dead-block-ticks: samples inside code no execution reaches *)
         Array.iteri
           (fun bi (b : Cfg.block) ->
@@ -660,7 +653,9 @@ let lint ?cfg ?indirect ?statics (o : Objfile.t) (g : Gmon.t) =
   {
     l_findings = fs;
     l_arcs_checked = List.length g.Gmon.arcs;
-    l_buckets_checked = Array.length g.Gmon.hist.h_counts;
+    l_buckets_checked =
+      (if g.Gmon.hist.h_bucket_size > 0 then Array.length g.Gmon.hist.h_counts
+       else 0);
   }
 
 (* ------------------------------------------------------------------ *)

@@ -39,6 +39,11 @@ type contradiction = {
   c_calls : int;  (** dynamic arc traversals into its entry *)
 }
 
+val calls_into : Objcode.Objfile.t -> Gmon.t -> int array
+(** Per function id, the summed count of the profile's arcs into its
+    entry ({!Gmon.arc_count_into} of every routine at once), in one
+    pass over the arcs. *)
+
 val crosscheck : t -> Objcode.Objfile.t -> Gmon.t -> contradiction list
 (** Functions the dynamic profile saw executing that {e neither} view
     can explain, in address order. A profile accounts for its own

@@ -46,16 +46,18 @@ let rec subst env (e : Ast.expr) =
 
 type candidate = { params : string list; body : Ast.expr }
 
+(* A body that is one non-recursive return of an expression. *)
+let single_return (f : Ast.fundef) =
+  match f.body with
+  | [ { Ast.sdesc = Ast.Return (Some e); _ } ] when not (expr_calls f.fname e) ->
+    Some { params = f.params; body = e }
+  | _ -> None
+
 let candidates ~names (p : Ast.program) =
   List.filter_map
     (fun (f : Ast.fundef) ->
       if not (List.mem f.fname names) then None
-      else
-        match f.body with
-        | [ { Ast.sdesc = Ast.Return (Some e); _ } ]
-          when not (expr_calls f.fname e) ->
-          Some (f.fname, { params = f.params; body = e })
-        | _ -> None)
+      else Option.map (fun c -> (f.fname, c)) (single_return f))
     p.funs
 
 let rec expand cands (e : Ast.expr) =
@@ -116,8 +118,10 @@ let inline_round ~names (p : Ast.program) =
     }
 
 let inlinable (p : Ast.program) =
-  let all = List.map (fun (f : Ast.fundef) -> f.Ast.fname) p.funs in
-  List.map fst (candidates ~names:all p)
+  List.filter_map
+    (fun (f : Ast.fundef) ->
+      if Option.is_some (single_return f) then Some f.fname else None)
+    p.funs
 
 let inline_expansion ~names p =
   (* Chains of wrappers flatten in a few rounds; the bound guards

@@ -281,10 +281,18 @@ let timeline ?(options = Report.default_options) o (c : Gmon.Epoch.t) =
     Buffer.add_string b
       (Printf.sprintf "timeline: %d epoch(s), %d ticks/s\n"
          (Gmon.Epoch.n_epochs c) c.Gmon.Epoch.e_ticks_per_second);
+    (* every epoch is analyzed against the same binary: resolve its
+       indirect calls once *)
+    let indirect =
+      if options.Report.use_static_arcs then Some (Analysis.Indirect.analyze o)
+      else None
+    in
     let rec go k prev_tick prev_tbl = function
       | [] -> Ok (Buffer.contents b)
       | (e : Gmon.Epoch.entry) :: rest -> (
-        match Report.analyze ~options o (Gmon.Epoch.profile_of c e) with
+        match
+          Report.analyze ~options ?indirect o (Gmon.Epoch.profile_of c e)
+        with
         | Error msg -> Error (Printf.sprintf "epoch %d: %s" k msg)
         | Ok r ->
           let p = r.Report.profile in

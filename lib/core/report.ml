@@ -75,7 +75,7 @@ let apply_min_percent (profile : Profile.t) min_percent =
     Profile.restrict profile (fun party ->
         Profile.percent_time profile party >= min_percent)
 
-let analyze ?(options = default_options) o (gmon : Gmon.t) =
+let analyze ?(options = default_options) ?indirect o (gmon : Gmon.t) =
   Obs.Trace.with_span ~cat:"core" "analyze" @@ fun () ->
   match Gmon.validate gmon with
   | Error es -> Error ("invalid profile data: " ^ String.concat "; " es)
@@ -107,8 +107,13 @@ let analyze ?(options = default_options) o (gmon : Gmon.t) =
             (* Direct arcs from the text crawl, plus the sound
                over-approximation of functional-parameter calls the
                crawl alone cannot see (paper §2). *)
+            let indirect =
+              match indirect with
+              | Some i -> i
+              | None -> Analysis.Indirect.analyze o
+            in
             let named =
-              Objcode.Scan.static_arcs o @ Analysis.Indirect.static_arcs o
+              Objcode.Scan.static_arcs o @ indirect.Analysis.Indirect.i_arcs
             in
             List.filter_map
               (fun (a, b) ->

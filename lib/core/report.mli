@@ -47,9 +47,16 @@ type t = {
 }
 
 val analyze :
-  ?options:options -> Objcode.Objfile.t -> Gmon.t -> (t, string) result
+  ?options:options ->
+  ?indirect:Analysis.Indirect.t ->
+  Objcode.Objfile.t ->
+  Gmon.t ->
+  (t, string) result
 (** [Error] on unknown routine names in [removed_arcs]/[focus], or on
-    an invalid profile. *)
+    an invalid profile. [indirect] defaults to
+    {!Analysis.Indirect.analyze} of the same executable, run only when
+    [use_static_arcs] is on; pass it to share one resolution between
+    the passes that read the same binary. *)
 
 val degraded : t -> bool
 (** True when a lenient analysis had to fold unresolvable records or

@@ -37,6 +37,19 @@ let bucket_range h i =
   let lo = h.h_lowpc + (i * h.h_bucket_size) in
   (lo, min (lo + h.h_bucket_size) h.h_highpc)
 
+(* Buckets are uniform, so the ones overlapping [lo, hi) are one run
+   of indices: [(lo - lowpc) / size] to [(hi - 1 - lowpc) / size],
+   clamped to the array. Both numerators are nonnegative once the
+   range meets [lowpc, highpc), so the divisions floor. *)
+let iter_overlapping h ~lo ~hi f =
+  let nb = Array.length h.h_counts in
+  let bs = h.h_bucket_size in
+  if bs > 0 && nb > 0 && hi > h.h_lowpc && lo < h.h_highpc then
+    for i = (max lo h.h_lowpc - h.h_lowpc) / bs
+        to min (nb - 1) ((hi - 1 - h.h_lowpc) / bs) do
+      f i h.h_counts.(i)
+    done
+
 let total_ticks t = Array.fold_left ( + ) 0 t.hist.h_counts
 
 let seconds_of_ticks t ticks = float_of_int ticks /. float_of_int t.ticks_per_second

@@ -48,6 +48,13 @@ val bucket_range : hist -> int -> int * int
 (** [bucket_range h i] is the address interval
     [\[lo, hi)] covered by bucket [i], clipped to [highpc]. *)
 
+val iter_overlapping : hist -> lo:int -> hi:int -> (int -> int -> unit) -> unit
+(** [iter_overlapping h ~lo ~hi f] calls [f i count] on every bucket
+    [i] whose {!bucket_range} intersects [\[lo, hi)], in ascending
+    order: the buckets a scan of the whole histogram would find, at a
+    cost proportional to their number. Visits nothing when the bucket
+    size is not positive. *)
+
 val total_ticks : t -> int
 
 val seconds_of_ticks : t -> int -> float

@@ -305,8 +305,33 @@ let block_terms (fn : Cfg.func) chunks label_pos start_of =
       | Some _ -> Tfall (fall ()))
     blocks
 
+(* The distinct source lines of the addresses [lo, hi), the last found
+   first. The line table is strictly ascending, so they are the line
+   in force at [lo] and those of the entries inside the range: one
+   binary search and a walk, not a lookup per address. *)
+let block_lines (obj : Objfile.t) lo hi =
+  let table = obj.Objfile.lines in
+  let n = Array.length table in
+  (* [k]: the number of entries at or below [lo] *)
+  let rec count l h =
+    if l >= h then l
+    else
+      let m = (l + h) / 2 in
+      if fst table.(m) <= lo then count (m + 1) h else count l m
+  in
+  let k = count 0 n in
+  let lines = ref [] in
+  let add l = if not (List.mem l !lines) then lines := l :: !lines in
+  if k > 0 && lo < hi then add (snd table.(k - 1));
+  let i = ref k in
+  while !i < n && fst table.(!i) < hi do
+    add (snd table.(!i));
+    incr i
+  done;
+  !lines
+
 let reorder_fun ~(line_ticks : (int, float) Hashtbl.t) ~obj ~(fn : Cfg.func)
-    ~(dom : Dom.t) (f : Asm.afun) =
+    (f : Asm.afun) =
   let blocks = fn.Cfg.fn_blocks in
   let n = Array.length blocks in
   if n <= 2 then None
@@ -316,16 +341,11 @@ let reorder_fun ~(line_ticks : (int, float) Hashtbl.t) ~obj ~(fn : Cfg.func)
     let block_heat =
       Array.map
         (fun (b : Cfg.block) ->
-          let lines = ref [] in
-          for a = b.Cfg.bb_start to b.Cfg.bb_start + b.Cfg.bb_len - 1 do
-            match Objfile.line_of_addr obj a with
-            | Some l when not (List.mem l !lines) -> lines := l :: !lines
-            | _ -> ()
-          done;
           List.fold_left
             (fun h l ->
               h +. Option.value (Hashtbl.find_opt line_ticks l) ~default:0.0)
-            0.0 !lines)
+            0.0
+            (block_lines obj b.Cfg.bb_start (b.Cfg.bb_start + b.Cfg.bb_len)))
         blocks
     in
     if Array.for_all (fun h -> h = 0.0) block_heat then None
@@ -340,7 +360,7 @@ let reorder_fun ~(line_ticks : (int, float) Hashtbl.t) ~obj ~(fn : Cfg.func)
           | Tfall fl -> [ fl ]
           | Tstop -> []
         in
-        let depth = dom.Dom.d_depth in
+        let depth = (Dom.compute fn).Dom.d_depth in
         let better a b =
           block_heat.(a) > block_heat.(b)
           || (block_heat.(a) = block_heat.(b)
@@ -438,23 +458,23 @@ let reorder_fun ~(line_ticks : (int, float) Hashtbl.t) ~obj ~(fn : Cfg.func)
       with Give_up -> None
   end
 
+(* [obj] is [aprog] assembled, so its i-th function is the i-th afun *)
 let reorder_blocks ~line_ticks (aprog : Asm.aprog) (obj : Objfile.t) =
   let cfg = Cfg.build obj in
   let decisions = ref [] and skipped = ref 0 in
   let funs =
-    List.map
-      (fun (f : Asm.afun) ->
-        match Cfg.func_by_name cfg f.Asm.name with
-        | Some fn when Array.length fn.Cfg.fn_blocks > 0 -> (
-          let dom = Dom.compute fn in
-          match reorder_fun ~line_ticks ~obj ~fn ~dom f with
-          | Some (f', d) ->
-            decisions := d :: !decisions;
-            f'
-          | None ->
-            incr skipped;
-            f)
-        | _ ->
+    List.mapi
+      (fun i (f : Asm.afun) ->
+        let fn = cfg.Cfg.cfg_funcs.(i) in
+        match
+          if Array.length fn.Cfg.fn_blocks > 0 then
+            reorder_fun ~line_ticks ~obj ~fn f
+          else None
+        with
+        | Some (f', d) ->
+          decisions := d :: !decisions;
+          f'
+        | None ->
           incr skipped;
           f)
       aprog.Asm.a_funs
@@ -471,7 +491,11 @@ let optimize ?(max_callee_size = 24) ?(growth_budget = 256)
   match Codegen.compile_program ~options:ref_options ~source_name p with
   | Error e -> Error e
   | Ok refobj -> (
-    let lint = Analysis.Proflint.lint refobj gmon in
+    (* the lint and the report read one Indirect resolution of the
+       reference build; [assemble] validated it, so the statics can be
+       prepared before the lint looks at it *)
+    let statics = Analysis.Proflint.prepare refobj in
+    let lint = Analysis.Proflint.lint ~statics refobj gmon in
     match
       List.find_opt
         (fun (f : Analysis.Proflint.finding) ->
@@ -484,7 +508,10 @@ let optimize ?(max_callee_size = 24) ?(growth_budget = 256)
            "profile does not pair with this program: [%s] %s"
            f.Analysis.Proflint.f_rule f.Analysis.Proflint.f_msg)
     | None -> (
-      match Gprof_core.Report.analyze refobj gmon with
+      match
+        Gprof_core.Report.analyze
+          ~indirect:statics.Analysis.Proflint.s_indirect refobj gmon
+      with
       | Error e -> Error ("profile analysis failed: " ^ e)
       | Ok rep -> (
         let heat = heat_of refobj gmon rep.Gprof_core.Report.profile in

@@ -77,6 +77,33 @@ let test_mismatched_profile_refused () =
     check_bool "refusal explains the pairing failure" true
       (String.length e > 0)
 
+let test_nonpositive_bucket_size_refused () =
+  (* the lint refuses the histogram before anything divides by its
+     bucket size *)
+  let base = profile_of Workloads.Programs.matrix in
+  let p = Mini.Parser.parse_program Workloads.Programs.matrix.w_source in
+  List.iter
+    (fun size ->
+      let gmon =
+        { base.gmon with
+          Gmon.hist = { base.gmon.Gmon.hist with Gmon.h_bucket_size = size } }
+      in
+      match
+        Pgo.optimize ~options:Compile.Codegen.profiling_options
+          ~source_name:"matrix" p gmon
+      with
+      | Ok _ -> Alcotest.failf "bucket size %d accepted" size
+      | Error e ->
+        let needle = "[hist-geometry]" in
+        let n = String.length needle in
+        check_bool
+          (Printf.sprintf "size %d: %s names hist-geometry" size e)
+          true
+          (List.exists
+             (fun i -> String.sub e i n = needle)
+             (List.init (String.length e - n + 1) Fun.id)))
+    [ 0; -1 ]
+
 let test_optimized_binary_reprofiles_cleanly () =
   let base = profile_of Workloads.Programs.sort in
   let obj, _ = optimize Workloads.Programs.sort base.gmon in
@@ -135,6 +162,8 @@ let () =
             test_report_is_deterministic;
           Alcotest.test_case "mismatched profile refused" `Slow
             test_mismatched_profile_refused;
+          Alcotest.test_case "nonpositive bucket size refused" `Quick
+            test_nonpositive_bucket_size_refused;
           Alcotest.test_case "optimized binary reprofiles cleanly" `Slow
             test_optimized_binary_reprofiles_cleanly;
           Alcotest.test_case "forced inline overrides heat" `Slow
