@@ -23,6 +23,11 @@ let bfs neighbors n roots =
 
 let forward g roots = bfs (Digraph.succs g) (Digraph.n_nodes g) roots
 
+let forward_with g ~extra roots =
+  bfs
+    (fun v -> Digraph.succs g v @ List.map (fun w -> (w, 0)) extra.(v))
+    (Digraph.n_nodes g) roots
+
 let backward g roots = bfs (Digraph.preds g) (Digraph.n_nodes g) roots
 
 let between g vs =

@@ -8,6 +8,11 @@ val forward : Digraph.t -> int list -> bool array
 (** [forward g roots] marks every node reachable from [roots]
     (inclusive). *)
 
+val forward_with : Digraph.t -> extra:int list array -> int list -> bool array
+(** {!forward} over [g]'s arcs plus an arc from each node [v] to each
+    of [extra.(v)], without building the union graph; [extra] has one
+    entry per node. *)
+
 val backward : Digraph.t -> int list -> bool array
 (** Marks every node that can reach one of the given nodes
     (inclusive). *)
