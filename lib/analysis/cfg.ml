@@ -106,9 +106,6 @@ let build o =
   Obs.Metrics.incr ~by:(n_edges t) (Obs.Metrics.counter reg "analysis.cfg.edges");
   t
 
-let func_by_name t name =
-  Array.find_opt (fun f -> f.fn_symbol.Objfile.name = name) t.cfg_funcs
-
 let block_of_addr f addr =
   Array.find_opt
     (fun b -> addr >= b.bb_start && addr < b.bb_start + b.bb_len)

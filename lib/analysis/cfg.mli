@@ -39,8 +39,6 @@ val build : Objcode.Objfile.t -> t
     the function (invalid images) contribute no edge. Publishes
     [analysis.cfg.*] counters to {!Obs.Metrics.default}. *)
 
-val func_by_name : t -> string -> func option
-
 val block_of_addr : func -> int -> block option
 (** The block whose address range contains the given address. *)
 

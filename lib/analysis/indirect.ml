@@ -241,4 +241,3 @@ let targets t ~site =
   | Some Unresolved -> t.i_address_taken
   | None -> []
 
-let static_arcs o = (analyze o).i_arcs

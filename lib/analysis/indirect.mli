@@ -51,7 +51,3 @@ val targets : t -> site:int -> int list
     addresses that are not known [Calli] sites. *)
 
 val resolution : t -> site:int -> resolution option
-
-val static_arcs : Objcode.Objfile.t -> (string * string) list
-(** [analyze] then [i_arcs] — the shape {!Objcode.Scan.static_arcs}
-    has, for callers that want only the arcs. *)

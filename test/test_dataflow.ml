@@ -29,7 +29,11 @@ let run_workload w =
   | Error e -> Alcotest.failf "run %s: %s" w.Workloads.Programs.w_name e
 
 let func_named cfg name =
-  match Analysis.Cfg.func_by_name cfg name with
+  match
+    Array.find_opt
+      (fun (f : Analysis.Cfg.func) -> f.fn_symbol.Objcode.Objfile.name = name)
+      cfg.Analysis.Cfg.cfg_funcs
+  with
   | Some f -> f
   | None -> Alcotest.failf "no function %s" name
 
