@@ -207,6 +207,7 @@ let run obj_path gmon_out submit_sock submit_label submit_retries spool_dir
         Option.value ~default:0 (Vm.Machine.result m) land 255
       end
     | Vm.Machine.Faulted f ->
+      if not quiet then print_string (Vm.Machine.output m);
       Format.eprintf "minirun: %a@." Vm.Machine.pp_fault f;
       (* Even a crashed run flushes the profile gathered so far: the
          atomic writer guarantees the file is either complete and

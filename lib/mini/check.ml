@@ -146,248 +146,6 @@ let check ?(builtins = []) (p : Ast.program) =
   List.iter (check_fundef env) p.funs;
   List.rev env.errors
 
-(* ------------------------------------------------------------------ *)
-(* The known-callee warning pass.
-
-   Direct calls are arity-checked above; indirect calls "through
-   functional variables" are normally deferred to the VM. This pass
-   recovers what can be known statically with a flow-insensitive
-   fixpoint over the sets of function names each variable, array,
-   parameter, and return value may hold — the AST-level mirror of
-   Analysis.Indirect over object code. Function values originate only
-   from a function name used as a value, so the sets are exact up to
-   flow-insensitivity; arithmetic on a function value launders it out
-   of the sets, which can only add warnings, never hide errors. *)
-
-module SSet = Set.Make (String)
-
-let warnings ?(builtins = []) (p : Ast.program) =
-  let arity = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Ast.fundef) ->
-      Hashtbl.replace arity f.fname (List.length f.params))
-    p.funs;
-  let params = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Ast.fundef) -> Hashtbl.replace params f.fname f.params)
-    p.funs;
-  let builtin = Hashtbl.create 8 in
-  List.iter (fun (name, _) -> Hashtbl.replace builtin name ()) builtins;
-  let garray = Hashtbl.create 8 in
-  List.iter
-    (function
-      | Ast.Garray (x, _, _) -> Hashtbl.replace garray x ()
-      | Ast.Gvar _ -> ())
-    p.globals;
-  let locals_of =
-    let tbl = Hashtbl.create 16 in
-    let rec collect acc (s : Ast.stmt) =
-      match s.sdesc with
-      | Ast.Decl (x, _) -> SSet.add x acc
-      | Ast.If (_, t, e) ->
-        List.fold_left collect (List.fold_left collect acc t) e
-      | Ast.While (_, b) -> List.fold_left collect acc b
-      | Ast.For (init, _, step, b) ->
-        List.fold_left collect (collect (collect acc init) step) b
-      | _ -> acc
-    in
-    List.iter
-      (fun (f : Ast.fundef) ->
-        Hashtbl.replace tbl f.fname
-          (List.fold_left collect (SSet.of_list f.params) f.body))
-      p.funs;
-    fun fn -> Option.value ~default:SSet.empty (Hashtbl.find_opt tbl fn)
-  in
-  (* One flat store: locals are keyed per enclosing function, arrays
-     as a whole (indices are not tracked), returns per function. *)
-  let vals : (string, SSet.t) Hashtbl.t = Hashtbl.create 64 in
-  let get k = Option.value ~default:SSet.empty (Hashtbl.find_opt vals k) in
-  let changed = ref true in
-  let joink k v =
-    let old = get k in
-    if not (SSet.subset v old) then begin
-      Hashtbl.replace vals k (SSet.union old v);
-      changed := true
-    end
-  in
-  let lkey fn x = "l:" ^ fn ^ ":" ^ x
-  and gkey x = "g:" ^ x
-  and akey x = "a:" ^ x
-  and rkey fn = "r:" ^ fn in
-  let var_key fn x =
-    if SSet.mem x (locals_of fn) then Some (lkey fn x)
-    else if Hashtbl.mem garray x || Hashtbl.mem arity x
-            || Hashtbl.mem builtin x then None
-    else Some (gkey x)
-  in
-  let rec eval ?on_indirect fn (e : Ast.expr) =
-    let eval = eval ?on_indirect in
-    match e.desc with
-    | Ast.Int _ -> SSet.empty
-    | Ast.Var x ->
-      if SSet.mem x (locals_of fn) then get (lkey fn x)
-      else if Hashtbl.mem arity x then SSet.singleton x
-      else if Hashtbl.mem garray x || Hashtbl.mem builtin x then SSet.empty
-      else get (gkey x)
-    | Ast.Index (a, i) ->
-      ignore (eval fn i);
-      get (akey a)
-    | Ast.Call (f, args) -> (
-      let argvs = List.map (eval fn) args in
-      let nargs = List.length args in
-      let apply candidates =
-        (* arguments flow into the parameters of every candidate the
-           call could bind to; results are the join of their returns *)
-        SSet.fold
-          (fun c acc ->
-            (match Hashtbl.find_opt params c with
-            | Some ps when List.length ps = nargs ->
-              List.iter2 (fun p v -> joink (lkey c p) v) ps argvs
-            | _ -> ());
-            SSet.union acc (get (rkey c)))
-          candidates SSet.empty
-      in
-      match f.desc with
-      | Ast.Var x when not (SSet.mem x (locals_of fn)) && Hashtbl.mem arity x ->
-        apply (SSet.singleton x)
-      | Ast.Var x when not (SSet.mem x (locals_of fn)) && Hashtbl.mem builtin x
-        ->
-        SSet.empty
-      | _ ->
-        let callees = eval fn f in
-        (match on_indirect with
-        | Some observe -> observe fn f callees nargs
-        | None -> ());
-        apply callees)
-    | Ast.Binop (_, l, r) ->
-      ignore (eval fn l);
-      ignore (eval fn r);
-      SSet.empty
-    | Ast.Unop (_, e1) ->
-      ignore (eval fn e1);
-      SSet.empty
-  in
-  let rec walk ?on_indirect fn (s : Ast.stmt) =
-    let eval = eval ?on_indirect and walk = walk ?on_indirect in
-    match s.sdesc with
-    | Ast.Decl (x, init) ->
-      Option.iter (fun e -> joink (lkey fn x) (eval fn e)) init
-    | Ast.Assign (x, e) ->
-      let v = eval fn e in
-      Option.iter (fun k -> joink k v) (var_key fn x)
-    | Ast.Astore (a, i, e) ->
-      ignore (eval fn i);
-      joink (akey a) (eval fn e)
-    | Ast.If (c, t, e) ->
-      ignore (eval fn c);
-      List.iter (walk fn) t;
-      List.iter (walk fn) e
-    | Ast.While (c, b) ->
-      ignore (eval fn c);
-      List.iter (walk fn) b
-    | Ast.For (init, c, step, b) ->
-      walk fn init;
-      ignore (eval fn c);
-      walk fn step;
-      List.iter (walk fn) b
-    | Ast.Return e -> Option.iter (fun e -> joink (rkey fn) (eval fn e)) e
-    | Ast.Break | Ast.Continue -> ()
-    | Ast.Expr e -> ignore (eval fn e)
-  in
-  let rounds = ref 0 in
-  while !changed && !rounds < 1000 do
-    changed := false;
-    incr rounds;
-    List.iter
-      (fun (f : Ast.fundef) -> List.iter (walk f.fname) f.body)
-      p.funs
-  done;
-  (* One more walk over the converged sets to diagnose each site. *)
-  let warns = ref [] in
-  let describe (f : Ast.expr) =
-    match f.desc with
-    | Ast.Var x -> x
-    | Ast.Index (a, _) -> a ^ "[...]"
-    | _ -> "the callee expression"
-  in
-  let on_indirect _fn f callees nargs =
-    if SSet.is_empty callees then
-      warns :=
-        {
-          msg =
-            Printf.sprintf
-              "%s is never assigned a function value; this indirect call \
-               cannot succeed"
-              (describe f);
-          loc = f.eloc;
-        }
-        :: !warns
-    else if
-      not
-        (SSet.exists
-           (fun c -> Hashtbl.find_opt arity c = Some nargs)
-           callees)
-    then
-      warns :=
-        {
-          msg =
-            Printf.sprintf
-              "no possible callee of %s takes %d argument%s (candidates: %s)"
-              (describe f) nargs
-              (if nargs = 1 then "" else "s")
-              (String.concat ", "
-                 (List.map
-                    (fun c ->
-                      Printf.sprintf "%s/%d" c
-                        (Option.value ~default:0 (Hashtbl.find_opt arity c)))
-                    (SSet.elements callees)));
-          loc = f.eloc;
-        }
-        :: !warns
-  in
-  changed := false;
-  List.iter
-    (fun (f : Ast.fundef) -> List.iter (walk ~on_indirect f.fname) f.body)
-    p.funs;
-  (* Constant conditions: an [if] that always goes one way, or a loop
-     whose body can never run. [while (1)] stays quiet — the deliberate
-     infinite loop is idiom; the branch that cannot happen is a bug.
-     This is the source-level mirror of Analysis.Facts.constprop's
-     const-branch rule over the object code. *)
-  let constant_cond (c : Ast.expr) what =
-    match c.desc with
-    | Ast.Int 0 ->
-      warns :=
-        { msg = Printf.sprintf "%s condition is constantly false" what;
-          loc = c.eloc }
-        :: !warns
-    | Ast.Int _ when what = "if" ->
-      warns :=
-        { msg = "if condition is constantly true"; loc = c.eloc } :: !warns
-    | _ -> ()
-  in
-  let rec scan (s : Ast.stmt) =
-    match s.sdesc with
-    | Ast.If (c, t, e) ->
-      constant_cond c "if";
-      List.iter scan t;
-      List.iter scan e
-    | Ast.While (c, b) ->
-      constant_cond c "while";
-      List.iter scan b
-    | Ast.For (init, c, step, b) ->
-      scan init;
-      constant_cond c "for";
-      scan step;
-      List.iter scan b
-    | Ast.Decl _ | Ast.Assign _ | Ast.Astore _ | Ast.Return _ | Ast.Break
-    | Ast.Continue | Ast.Expr _ -> ()
-  in
-  List.iter (fun (f : Ast.fundef) -> List.iter scan f.body) p.funs;
-  List.sort
-    (fun a b -> compare (a.loc.Ast.line, a.loc.Ast.col) (b.loc.Ast.line, b.loc.Ast.col))
-    !warns
-
 let check_entry (p : Ast.program) =
   match List.find_opt (fun (f : Ast.fundef) -> f.fname = "main") p.funs with
   | None -> [ { msg = "program has no main function"; loc = Ast.dummy_loc } ]

@@ -4,9 +4,13 @@
     "checking" means scope and shape validation: bound names, no
     duplicate definitions, arrays used only as arrays, direct calls
     with the right arity. Function names used as plain values become
-    function references (the "functional variables" of the paper);
-    indirect calls through such values cannot be arity-checked
-    statically and are validated by the VM at call time. *)
+    function references (the "functional variables" of the paper).
+    An indirect call through such a value is not checked here. The VM
+    passes its arguments by position: a call with too few faults when
+    the callee reads a parameter slot its frame lacks, and a call with
+    too many leaves the extra arguments in the callee's first local
+    slots, where [Enter] does not zero them. [minic] warns about both
+    from the object code and [Analysis.Indirect]. *)
 
 type error = { msg : string; loc : Ast.loc }
 
@@ -22,18 +26,3 @@ val check : ?builtins:(string * int) list -> Ast.program -> error list
 val check_entry : Ast.program -> error list
 (** Errors about the program entry point: [main] must exist and take
     no parameters. *)
-
-val warnings : ?builtins:(string * int) list -> Ast.program -> error list
-(** The known-callee pass over indirect call sites, in source order.
-    A flow-insensitive fixpoint tracks which function names each
-    variable, array, parameter, and return value may hold (function
-    values originate only from a function name used as a value), then
-    every indirect call is checked against its candidate set: a
-    callee that is never assigned a function value cannot succeed,
-    and a call whose argument count matches no candidate's arity
-    will fail at run time. Also flags constant conditions: an [if]
-    that always goes one way, and a [while]/[for] whose condition is
-    constantly false ([while (1)] — the deliberate infinite loop — is
-    left alone). These are warnings, not errors — the set is an
-    over-approximation and a given site may be dynamically dead — but
-    [minic --werror] promotes them. *)

@@ -652,6 +652,82 @@ let test_disasm_out_of_range_guards () =
   check_bool "global guard" true (contains ~needle:"! global 7 out of range" listing);
   check_bool "array guard" true (contains ~needle:"! array 3 out of range" listing)
 
+(* ------------------------------------------------------------------ *)
+(* The warnings minic prints: Proflint's warning-severity static rules
+   over the compiled source *)
+
+let static_warnings ?(options = Compile.Codegen.default_options) src =
+  match Compile.Codegen.compile_source ~options src with
+  | Ok o -> Analysis.Proflint.static_warnings (Analysis.Proflint.prepare o)
+  | Error e -> Alcotest.failf "compile %S: %s" src e
+
+let fired rule ws =
+  List.filter (fun (f : Analysis.Proflint.finding) -> f.f_rule = rule) ws
+
+let expect_warning rule src fragment =
+  let ws = static_warnings src in
+  if
+    not
+      (List.exists
+         (fun (f : Analysis.Proflint.finding) -> contains ~needle:fragment f.f_msg)
+         (fired rule ws))
+  then
+    Alcotest.failf "%s: expected [%s] containing %S; got: %s" src rule fragment
+      (String.concat " | "
+         (List.map (fun (f : Analysis.Proflint.finding) -> f.f_msg) ws))
+
+let test_warnings_clean_workloads () =
+  List.iter
+    (fun (w : Workloads.Programs.t) ->
+      let ws = static_warnings w.w_source in
+      match fired "const-branch" ws @ fired "calli-no-callee" ws with
+      | [] -> ()
+      | ws ->
+        Alcotest.failf "workload %s: %s" w.w_name
+          (String.concat "; "
+             (List.map (fun (f : Analysis.Proflint.finding) -> f.f_msg) ws)))
+    Workloads.Programs.all
+
+let test_warnings_never_a_function () =
+  expect_warning "calli-no-callee"
+    "var v; fun f() { return v(1); } fun main() { return f(); }"
+    "never assigned a function value";
+  expect_warning "calli-no-callee"
+    "fun f() { var x = 3; return x(1); } fun main() { return f(); }"
+    "never assigned a function value"
+
+let test_warnings_constant_conditions () =
+  expect_warning "const-branch" "fun main() { if (0) { return 1; } return 0; }"
+    "always jumps";
+  expect_warning "const-branch" "fun main() { if (3) { return 1; } return 0; }"
+    "always falls through";
+  expect_warning "const-branch" "fun main() { while (0) { return 1; } return 0; }"
+    "always jumps";
+  expect_warning "const-branch"
+    "fun main() { var i; for (i = 0; 0; i = i + 1) { } return 0; }"
+    "always jumps";
+  (* the deliberate infinite loop is idiom, not a bug, even where its
+     continue jump is unreachable *)
+  (match
+     fired "const-branch"
+       (static_warnings "fun main() { while (1) { return 0; } return 1; }")
+   with
+  | [] -> ()
+  | ws ->
+    Alcotest.failf "while (1) should be quiet, got: %s"
+      (String.concat " | "
+         (List.map (fun (f : Analysis.Proflint.finding) -> f.f_msg) ws)));
+  (* a foldable condition is the folder's business: built with -O it
+     leaves no branch to warn about *)
+  match
+    fired "const-branch"
+      (static_warnings
+         ~options:{ Compile.Codegen.default_options with fold = true }
+         "fun main() { if (1 < 2) { return 1; } return 0; }")
+  with
+  | [] -> ()
+  | _ -> Alcotest.fail "if (1 < 2) built with -O leaves a constant branch"
+
 let () =
   Alcotest.run "analysis"
     [
@@ -694,6 +770,15 @@ let () =
             test_proflint_nonpositive_bucket_size;
           Alcotest.test_case "dead code ticks" `Quick test_proflint_dead_code_ticks;
           Alcotest.test_case "render" `Quick test_proflint_render;
+        ] );
+      ( "warnings",
+        [
+          Alcotest.test_case "workloads are warning-free" `Quick
+            test_warnings_clean_workloads;
+          Alcotest.test_case "never a function" `Quick
+            test_warnings_never_a_function;
+          Alcotest.test_case "constant conditions" `Quick
+            test_warnings_constant_conditions;
         ] );
       ( "scan",
         [

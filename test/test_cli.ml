@@ -300,6 +300,17 @@ let test_robust_cli () =
   (match Gmon.load gf with
   | Ok g -> check_bool "flushed profile is nonempty" true (Gmon.total_ticks g > 0)
   | Error e -> Alcotest.fail e);
+  (* a program's own fault keeps the output printed before it *)
+  let bad_src = path "index_fault.mini" and bad_obj = path "index_fault.obj" in
+  Out_channel.with_open_text bad_src (fun oc ->
+      Out_channel.output_string oc
+        "array a[2]; fun main() { print(5); print(a[7]); return 0; }");
+  ignore (run_cmd [ exe "minic"; bad_src; "-o"; bad_obj ]);
+  let code, out = run_cmd [ exe "minirun"; bad_obj; "--gmon"; path "index_fault.gmon" ] in
+  check_int "index fault exits 125" 125 code;
+  Alcotest.(check string) "output before the fault printed" "5\n" out;
+  check_bool "index fault reported" true
+    (contains ~needle:"index 7 out of bounds" (stderr_text ()));
   let gt = path "tornsave.gmon" in
   let code, _ =
     run_cmd [ exe "minirun"; obj; "--gmon"; gt; "-q"; "--torn-save"; "50" ]
@@ -522,8 +533,9 @@ let test_profwatch_cli () =
     (contains ~needle:"profile point(s)" (stderr_text ()))
 
 (* An indirect call whose candidate set has no arity match: legal to
-   run, but the known-callee pass should warn and --werror should
-   refuse to ship it. *)
+   run, but minic's arity check (Indirect's candidates joined with the
+   source's parameter counts) should warn and --werror should refuse
+   to ship it. *)
 let warn_source =
   {|
 var h;
@@ -687,8 +699,7 @@ let test_werror_cli () =
   let code, _ = run_cmd [ exe "minic"; src; "-o"; obj ] in
   check_int "warnings alone do not fail the build" 0 code;
   check_bool "warning printed to stderr" true
-    (contains ~needle:"no possible callee of h takes 2 arguments"
-       (stderr_text ()));
+    (contains ~needle:"takes 2 arguments (candidates: one/1)" (stderr_text ()));
   let code, _ = run_cmd [ exe "minic"; src; "-o"; obj; "--werror" ] in
   check_int "--werror promotes to failure" 1 code;
   check_bool "promotion reported" true
@@ -696,7 +707,67 @@ let test_werror_cli () =
   (* a warning-free program is unaffected *)
   let clean = write_source () in
   let code, _ = run_cmd [ exe "minic"; clean; "-o"; obj; "--werror" ] in
-  check_int "clean program passes --werror" 0 code
+  check_int "clean program passes --werror" 0 code;
+  let werror name source =
+    let src = path (name ^ ".mini") and obj = path (name ^ ".obj") in
+    Out_channel.with_open_text src (fun oc -> Out_channel.output_string oc source);
+    let code, _ = run_cmd [ exe "minic"; src; "-o"; obj; "--werror" ] in
+    (code, stderr_text (), obj)
+  in
+  (* the arity check follows function values wherever Indirect does *)
+  List.iter
+    (fun (name, source) ->
+      let _, err, _ = werror name source in
+      check_bool (name ^ ": arity warning") true
+        (contains ~needle:"takes 2 arguments (candidates: one/1)" err))
+    [
+      ( "arity_plain",
+        "fun one(a) { return a; } fun g() { var h = one; return h(1, 2); } \
+         fun main() { return g(); }" );
+      ( "arity_param",
+        "fun one(a) { return a; } fun apply(h) { return h(1, 2); } \
+         fun g() { return apply(one); } fun main() { return g(); }" );
+      ( "arity_array_return",
+        "array tab[2]; fun one(a) { return a; } \
+         fun pick() { return tab[0]; } \
+         fun g() { tab[0] = one; var h = pick(); return h(1, 2); } \
+         fun main() { return g(); }" );
+    ];
+  (* a matching candidate anywhere in the set silences the site *)
+  let _, err, _ =
+    werror "arity_mixed"
+      "fun one(a) { return a; } fun two(a, b) { return a + b; } \
+       fun g(k) { var h; if (k) { h = one; } else { h = two; } \
+       return h(1, 2); } fun main() { return g(1); }"
+  in
+  check_bool "mixed arities with a match are fine" false
+    (contains ~needle:"no possible callee" err);
+  (* each finding once: two constant conditions, a dead store and a
+     call through a variable that never holds a function are four
+     warnings, not six *)
+  let code, err, _ =
+    werror "four_findings"
+      "var v;\nfun main() {\n  var d;\n  d = 1;\n  d = 2;\n  if (1) { print(d); }\n  \
+       while (0) { print(3); }\n  return v(1);\n}\n"
+  in
+  check_int "four findings fail --werror" 1 code;
+  check_int "four warnings printed" 4
+    (List.length
+       (List.filter
+          (fun l -> contains ~needle:": warning: " l)
+          (String.split_on_char '\n' err)));
+  check_bool "four promoted" true
+    (contains ~needle:"4 warning(s) promoted to errors" err);
+  (* the deliberate infinite loop passes --werror and the binary-only
+     lint *)
+  let code, _, loop_obj =
+    werror "infinite_loop"
+      "fun main() { var i = 0; while (1) { i = i + 1; if (i > 3) { return i; } } \
+       return 0; }"
+  in
+  check_int "while (1) passes --werror" 0 code;
+  let code, _ = run_cmd [ exe "proflint"; loop_obj ] in
+  check_int "while (1) lints clean" 0 code
 
 (* Start [profd --serve] in the background, its stderr appended to
    [log], and wait until it answers. [env] prefixes the command, as in

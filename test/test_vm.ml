@@ -428,7 +428,20 @@ let test_fault_calli_local_slot () =
   let m = Vm.Machine.create (prog 2) in
   check_bool "two arguments suffice" true (Vm.Machine.run m = Vm.Machine.Halted);
   Alcotest.(check (option int)) "returns its second argument" (Some 5)
-    (Vm.Machine.result m)
+    (Vm.Machine.result m);
+  (* too many arguments never fault: the extra one lands in the
+     callee's first local, which [Enter] then leaves unzeroed *)
+  match
+    Compile.Codegen.compile_source
+      "fun one(a) { var t; return t; } \
+       fun main() { var h = one; return h(1, 2); }"
+  with
+  | Error e -> Alcotest.fail e
+  | Ok o ->
+    let m = Vm.Machine.create o in
+    check_bool "an over-arity call runs" true (Vm.Machine.run m = Vm.Machine.Halted);
+    Alcotest.(check (option int)) "the local holds the extra argument" (Some 2)
+      (Vm.Machine.result m)
 
 let test_fault_depth_limit () =
   let o =
