@@ -209,7 +209,12 @@ let t_analysis () =
       r.gmon.Gmon.arcs
     |> List.sort_uniq compare
   in
-  let predicted = ind.Analysis.Indirect.i_arcs in
+  let predicted =
+    List.map
+      (fun (a, b) ->
+        (o.Objcode.Objfile.symbols.(a).name, o.Objcode.Objfile.symbols.(b).name))
+      ind.Analysis.Indirect.i_arcs
+  in
   let recalled =
     List.filter (fun arc -> List.mem arc predicted) dynamic_indirect
   in

@@ -86,7 +86,9 @@ let run src_path out profile count skip inline fold listing dump_static werror
       if dump_static then begin
         print_endline "static call graph:";
         List.iter
-          (fun (a, b) -> Printf.printf "    %s -> %s\n" a b)
+          (fun (a, b) ->
+            Printf.printf "    %s -> %s\n" o.Objcode.Objfile.symbols.(a).name
+              o.Objcode.Objfile.symbols.(b).name)
           (Objcode.Scan.static_arcs o);
         match Objcode.Scan.referenced_functions o with
         | [] -> ()

@@ -55,11 +55,14 @@ let () =
     (* Step 3: the static call graph warns about calls the test run
        might not have exercised. *)
     print_endline "\nstep 3: potential calls visible in the executable:";
+    let o = Gprof_core.Symtab.objfile p.symtab in
     List.iter
       (fun (a, b) ->
+        let a = o.Objcode.Objfile.symbols.(a).name
+        and b = o.Objcode.Objfile.symbols.(b).name in
         if String.length b >= 6 && String.sub b 0 6 = "format" then
           Printf.printf "    %s -> %s\n" a b)
-      (Objcode.Scan.static_arcs (Gprof_core.Symtab.objfile p.symtab));
+      (Objcode.Scan.static_arcs o);
 
     (* And the focused view the retrospective added. *)
     print_endline "\nfocused graph profile (--focus format2):";

@@ -124,36 +124,3 @@ let block_index f addr =
       else Some mid
   in
   go 0 (n - 1)
-
-let call_graph ?(indirect = []) t =
-  let o = t.cfg_obj in
-  let n = Array.length o.Objfile.symbols in
-  let g = Graphlib.Digraph.create n in
-  let add ~site ~target =
-    match (Objfile.symbol_index o site, Objfile.func_id_of_addr o target) with
-    | Some src, Some dst ->
-      if not (Graphlib.Digraph.mem_arc g ~src ~dst) then
-        Graphlib.Digraph.add_arc g ~src ~dst ~count:0
-    | _ -> ()
-  in
-  Array.iter
-    (fun f ->
-      Array.iter
-        (fun b ->
-          List.iter
-            (fun pc ->
-              match o.Objfile.text.(pc) with
-              | Instr.Call (target, _) -> (
-                (* direct calls to a function entry only; anomalous
-                   targets are Scan.anomalies, not graph arcs *)
-                match Objfile.func_id_of_addr o target with
-                | Some _ -> add ~site:pc ~target
-                | None -> ())
-              | _ -> ())
-            b.bb_calls)
-        f.fn_blocks)
-    t.cfg_funcs;
-  List.iter
-    (fun (site, targets) -> List.iter (fun tgt -> add ~site ~target:tgt) targets)
-    indirect;
-  g

@@ -1,12 +1,12 @@
 (** Control-flow graphs decoded from the text segment.
 
     The paper's static crawl (§2) walks the executable "looking for
-    calls to routines"; this pass decodes the whole control structure:
-    per-function basic blocks with intra-procedural edges, plus an
-    interprocedural call-graph view that subsumes
-    {!Objcode.Scan.function_graph}. The block structure is what the
-    reachability pass ({!Reach}) and the profile linter ({!Proflint})
-    stand on. *)
+    calls to routines"; this pass decodes the control structure
+    inside each routine: basic blocks, their intra-procedural edges,
+    and the call sites each block holds. The call graph between
+    routines is {!Objcode.Scan.static_arcs} with {!Indirect}'s arcs;
+    the block structure is what the reachability pass ({!Reach}) and
+    the profile linter ({!Proflint}) stand on. *)
 
 type block = {
   bb_start : int;  (** address of the first instruction *)
@@ -52,12 +52,3 @@ val n_blocks : t -> int
 
 val n_edges : t -> int
 (** Total intra-procedural edges over all functions. *)
-
-val call_graph : ?indirect:(int * int list) list -> t -> Graphlib.Digraph.t
-(** The interprocedural view: node [i] is [cfg_obj.symbols.(i)], one
-    weight-0 arc per distinct (caller, callee) pair found at the
-    decoded call sites. With only direct calls this equals
-    {!Objcode.Scan.function_graph}; [indirect] adds
-    (site address, target entry addresses) resolutions — the output of
-    {!Indirect} — on top. Sites or targets that resolve to no function
-    entry are skipped. *)

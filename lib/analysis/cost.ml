@@ -24,7 +24,10 @@ let sat n = if n > cap then cap else n
 let sat_add a b = sat (a + b)
 let sat_mul a b = if a = 0 || b = 0 then 0 else if a > cap / b then cap else a * b
 
-let static_estimate ?(loop_weight = 8) ?indirect (cfg : Cfg.t) =
+(* the assumed iterations per loop level *)
+let loop_weight = 8
+
+let static_estimate ?indirect (cfg : Cfg.t) =
   let o = cfg.Cfg.cfg_obj in
   let indirect = match indirect with Some i -> i | None -> Indirect.analyze o in
   let nfuncs = Array.length cfg.Cfg.cfg_funcs in
@@ -52,16 +55,6 @@ let static_estimate ?(loop_weight = 8) ?indirect (cfg : Cfg.t) =
         end)
       cfg.Cfg.cfg_funcs
   in
-  let targets_of pc =
-    match o.Objfile.text.(pc) with
-    | Instr.Call (t, _) -> (
-      match Objfile.func_id_of_addr o t with Some id -> [ id ] | None -> [])
-    | Instr.Calli _ ->
-      List.filter_map
-        (fun t -> Objfile.func_id_of_addr o t)
-        (Indirect.targets indirect ~site:pc)
-    | _ -> []
-  in
   (* total bound by memoized DFS; a cycle poisons everything on or
      above it with None *)
   let memo : int option option array = Array.make nfuncs None in
@@ -82,7 +75,7 @@ let static_estimate ?(loop_weight = 8) ?indirect (cfg : Cfg.t) =
                 match acc with
                 | None -> None
                 | Some a -> (
-                  match targets_of pc with
+                  match Indirect.callees o indirect ~pc with
                   | [] -> acc
                   | ts ->
                     List.fold_left

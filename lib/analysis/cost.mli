@@ -3,7 +3,7 @@
 
     The estimate is deliberately a {e shape}, not a prediction: each
     reachable block contributes its summed {!Objcode.Instr.cost},
-    weighted by [loop_weight]{^ depth} for its {!Dom} loop-nesting
+    weighted by [c_loop_weight]{^ depth} for its {!Dom} loop-nesting
     depth; call sites add the callee's own bound (the {e maximum} over
     an indirect site's {!Indirect} target set — fan-out resolves to the
     worst case), weighted the same way. Any function on a call-graph
@@ -29,9 +29,9 @@ type fn = {
 
 type t = { c_funcs : fn array; c_loop_weight : int }
 
-val static_estimate : ?loop_weight:int -> ?indirect:Indirect.t -> Cfg.t -> t
-(** [loop_weight] (default 8) is the assumed iterations per loop
-    level. [indirect] defaults to a fresh {!Indirect.analyze}. *)
+val static_estimate : ?indirect:Indirect.t -> Cfg.t -> t
+(** [c_loop_weight] is 8, the assumed iterations per loop level.
+    [indirect] defaults to a fresh {!Indirect.analyze}. *)
 
 val listing : ?measured:(string -> (float * float) option) -> t -> string
 (** A table of the estimate, descending by self bound. [measured]

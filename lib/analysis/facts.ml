@@ -12,21 +12,17 @@ let arities ?indirect (cfg : Cfg.t) =
   (* None = unseen; Some (Some k) = consistent arity k; Some None =
      conflicting call sites *)
   let seen : int option option array = Array.make n None in
-  let record target nargs =
-    match Objfile.func_id_of_addr o target with
-    | None -> ()
-    | Some id -> (
-      match seen.(id) with
-      | None -> seen.(id) <- Some (Some nargs)
-      | Some (Some k) when k = nargs -> ()
-      | Some _ -> seen.(id) <- Some None)
+  let record nargs id =
+    match seen.(id) with
+    | None -> seen.(id) <- Some (Some nargs)
+    | Some (Some k) when k = nargs -> ()
+    | Some _ -> seen.(id) <- Some None
   in
   Array.iteri
     (fun pc ins ->
       match ins with
-      | Instr.Call (target, nargs) -> record target nargs
-      | Instr.Calli nargs ->
-        List.iter (fun t -> record t nargs) (Indirect.targets indirect ~site:pc)
+      | Instr.Call (_, nargs) | Instr.Calli nargs ->
+        List.iter (record nargs) (Indirect.callees o indirect ~pc)
       | _ -> ())
     o.Objfile.text;
   (* the entry routine is called by the machine with no arguments *)
@@ -320,14 +316,6 @@ let constprop ?arity (o : Objfile.t) (f : Cfg.func) =
       | Instr.Store s ->
         let v = pop () in
         if s < nslots then slots.(s) <- v
-      | Instr.Gload _ -> push Cunknown
-      | Instr.Gstore _ -> ignore (pop ())
-      | Instr.Aload _ ->
-        ignore (pop ());
-        push Cunknown
-      | Instr.Astore _ ->
-        ignore (pop ());
-        ignore (pop ())
       | Instr.Alu op ->
         let rhs = pop () in
         let lhs = pop () in
@@ -335,25 +323,14 @@ let constprop ?arity (o : Objfile.t) (f : Cfg.func) =
       | Instr.Unop op ->
         let v = pop () in
         push (eval_unop op v)
-      | Instr.Funref _ -> push Cunknown
-      | Instr.Call (_, nargs) ->
-        for _ = 1 to nargs do ignore (pop ()) done;
-        push Cunknown
-      | Instr.Calli nargs ->
-        for _ = 1 to nargs + 1 do ignore (pop ()) done;
-        push Cunknown
       | Instr.Syscall (Instr.Sys_print | Instr.Sys_putc) ->
         let v = pop () in
         push v
-      | Instr.Syscall Instr.Sys_rand ->
-        ignore (pop ());
-        push Cunknown
-      | Instr.Syscall Instr.Sys_cycles -> push Cunknown
-      | Instr.Pop -> ignore (pop ())
       | Instr.Jumpz _ -> cond := pop ()
-      | Instr.Jump _ | Instr.Ret | Instr.Halt | Instr.Nop | Instr.Mcount
-      | Instr.Pcount _ | Instr.Enter _ ->
-        ()
+      | ins ->
+        let pops, pushes = Instr.pops_pushes ins in
+        for _ = 1 to pops do ignore (pop ()) done;
+        for _ = 1 to pushes do push Cunknown done
     done;
     (slots, !cond)
   in

@@ -10,10 +10,12 @@
     call sites; analyses needing it degrade gracefully when it cannot
     be inferred.
 
-    The operand stack is abstracted {e within} a block only: Mini's
-    codegen can carry a value across a label (short-circuit [&&]/[||]),
-    so at block entry the stack is unknown and popping past the known
-    prefix yields "unknown" — imprecise, never unsound. *)
+    The operand stack is abstracted {e within} a block only, each
+    instruction popping and pushing what {!Objcode.Instr.pops_pushes}
+    says: Mini's codegen can carry a value across a label
+    (short-circuit [&&]/[||]), so at block entry the stack is unknown
+    and popping past the known prefix yields "unknown" — imprecise,
+    never unsound. *)
 
 val arities : ?indirect:Indirect.t -> Cfg.t -> int option array
 (** Per function id: the argument count, when every call site that can

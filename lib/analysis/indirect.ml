@@ -6,7 +6,7 @@ type resolution = Resolved of int list | Unresolved
 type t = {
   i_sites : (int * resolution) list;
   i_address_taken : int list;
-  i_arcs : (string * string) list;
+  i_arcs : (int * int) list;
 }
 
 (* The abstract value: which function entries can this word hold?
@@ -88,8 +88,6 @@ let simulate ?on_calli env (s : Objfile.symbol) fid jump_target =
   for pc = s.addr to s.addr + s.size - 1 do
     if jump_target (pc - s.addr) then stack := [];
     match env.o.Objfile.text.(pc) with
-    | Instr.Nop | Instr.Enter _ | Instr.Mcount | Instr.Pcount _ -> ()
-    | Instr.Const _ -> push bottom
     | Instr.Load n -> push (get env.locals (fid, n))
     | Instr.Store n -> join_tbl env (fid, n) (pop ())
     | Instr.Gload g ->
@@ -102,15 +100,7 @@ let simulate ?on_calli env (s : Objfile.symbol) fid jump_target =
       let v = pop () in
       ignore (pop ());
       join_slot env env.arrays a v
-    | Instr.Alu _ ->
-      ignore (pop ());
-      ignore (pop ());
-      push bottom
-    | Instr.Unop _ ->
-      ignore (pop ());
-      push bottom
-    | Instr.Jump _ -> stack := []
-    | Instr.Jumpz _ -> ignore (pop ())
+    | Instr.Jump _ | Instr.Halt -> stack := []
     | Instr.Call (target, nargs) ->
       let args = List.init nargs (fun _ -> pop ()) in
       push (pass_args ~target ~nargs args)
@@ -128,15 +118,14 @@ let simulate ?on_calli env (s : Objfile.symbol) fid jump_target =
     | Instr.Ret ->
       join_slot env env.rets fid (pop ());
       stack := []
-    | Instr.Pop -> ignore (pop ())
     | Instr.Syscall (Instr.Sys_print | Instr.Sys_putc) ->
       let v = pop () in
       push v
-    | Instr.Syscall Instr.Sys_rand ->
-      ignore (pop ());
-      push bottom
-    | Instr.Syscall Instr.Sys_cycles -> push bottom
-    | Instr.Halt -> stack := []
+    | ins ->
+      (* moves no function value: its results are never one *)
+      let pops, pushes = Instr.pops_pushes ins in
+      for _ = 1 to pops do ignore (pop ()) done;
+      for _ = 1 to pushes do push bottom done
   done
 
 let jump_targets (o : Objfile.t) (s : Objfile.symbol) =
@@ -196,10 +185,11 @@ let analyze (o : Objfile.t) =
   Array.iter (fun (fid, s, jt) -> simulate ~on_calli env s fid jt) per_func;
   let sites = List.sort (fun (a, _) (b, _) -> compare a b) !acc in
   let arcs =
+    let n = Array.length o.Objfile.symbols in
     let seen = Hashtbl.create 32 in
     List.concat_map
       (fun (site, r) ->
-        match Objfile.find_symbol o site with
+        match Objfile.symbol_index o site with
         | None -> []
         | Some caller ->
           let targets =
@@ -207,15 +197,15 @@ let analyze (o : Objfile.t) =
           in
           List.filter_map
             (fun tgt ->
-              match Objfile.find_symbol o tgt with
-              | Some callee when callee.addr = tgt ->
-                let key = (caller.Objfile.name, callee.Objfile.name) in
+              match Objfile.func_id_of_addr o tgt with
+              | Some callee ->
+                let key = (caller * n) + callee in
                 if Hashtbl.mem seen key then None
                 else begin
                   Hashtbl.replace seen key ();
-                  Some key
+                  Some (caller, callee)
                 end
-              | _ -> None)
+              | None -> None)
             targets)
       sites
   in
@@ -241,3 +231,9 @@ let targets t ~site =
   | Some Unresolved -> t.i_address_taken
   | None -> []
 
+let callees (o : Objfile.t) t ~pc =
+  match o.text.(pc) with
+  | Instr.Call (target, _) -> Option.to_list (Objfile.func_id_of_addr o target)
+  | Instr.Calli _ ->
+    List.filter_map (Objfile.func_id_of_addr o) (targets t ~site:pc)
+  | _ -> []

@@ -34,20 +34,22 @@ type t = {
   i_address_taken : int list;
       (** entry addresses of functions whose address is taken with
           [Funref], ascending *)
-  i_arcs : (string * string) list;
-      (** the over-approximate (caller, callee) pairs contributed by
-          the resolved sites, deduplicated, in site order — the
-          count-0 arcs {!Gprof_core.Report} merges when
-          [use_static_arcs] is on *)
+  i_arcs : (int * int) list;
+      (** the over-approximate (caller, callee) symbol-id pairs
+          contributed by the resolved sites, deduplicated, in site
+          order. With {!Objcode.Scan.static_arcs} they make the static
+          call graph: the count-0 arcs {!Gprof_core.Report} merges
+          when [use_static_arcs] is on, and {!Reach}'s graph. *)
 }
 
 val analyze : Objcode.Objfile.t -> t
 (** Run the fixpoint. Publishes [analysis.indirect.*] counters
     (sites, resolved, unresolved, arcs) to {!Obs.Metrics.default}. *)
 
-val targets : t -> site:int -> int list
-(** The feasible callee entries of a [Calli] site, with the
-    [Unresolved] fallback expanded to the address-taken set. Empty for
-    addresses that are not known [Calli] sites. *)
-
 val resolution : t -> site:int -> resolution option
+
+val callees : Objcode.Objfile.t -> t -> pc:int -> int list
+(** The symbol ids the call at [pc] can enter, ascending for a [Calli]:
+    a [Call]'s target when it is a function entry; a [Calli]'s
+    resolved targets, or the whole address-taken set when it is
+    [Unresolved]. Empty for any other instruction. *)

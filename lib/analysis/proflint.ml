@@ -275,29 +275,26 @@ let arity_warnings ~params (st : statics) =
   let o = st.s_cfg.Cfg.cfg_obj in
   let declared = Hashtbl.create 16 in
   List.iter (fun (f, n) -> Hashtbl.replace declared f n) params;
-  let name addr =
-    match Objfile.find_symbol o addr with
-    | Some s -> s.Objfile.name
-    | None -> string_of_int addr
-  in
-  let arity a = Option.value (Hashtbl.find_opt declared (name a)) ~default:0 in
+  let name id = o.Objfile.symbols.(id).Objfile.name in
+  let arity id = Option.value (Hashtbl.find_opt declared (name id)) ~default:0 in
   List.filter_map
     (fun (pc, _) ->
-      match o.Objfile.text.(pc) with
-      | Instr.Calli n ->
-        let targets = Indirect.targets st.s_indirect ~site:pc in
-        if targets = [] || List.exists (fun a -> arity a = n) targets then None
-        else
-          Some
-            (Printf.sprintf
-               "%s: no possible callee of the indirect call at pc %d%s takes \
-                %d argument%s (candidates: %s)"
-               (name pc) pc (line_at o pc) n
-               (if n = 1 then "" else "s")
-               (String.concat ", "
-                  (List.map
-                     (fun a -> Printf.sprintf "%s/%d" (name a) (arity a))
-                     targets)))
+      match (o.Objfile.text.(pc), Indirect.callees o st.s_indirect ~pc) with
+      | Instr.Calli n, (_ :: _ as ids)
+        when not (List.exists (fun id -> arity id = n) ids) ->
+        Some
+          (Printf.sprintf
+             "%s: no possible callee of the indirect call at pc %d%s takes %d \
+              argument%s (candidates: %s)"
+             (match Objfile.symbol_index o pc with
+             | Some f -> name f
+             | None -> string_of_int pc)
+             pc (line_at o pc) n
+             (if n = 1 then "" else "s")
+             (String.concat ", "
+                (List.map
+                   (fun id -> Printf.sprintf "%s/%d" (name id) (arity id))
+                   ids)))
       | _ -> None)
     st.s_indirect.Indirect.i_sites
 
@@ -386,7 +383,9 @@ let lint_pgo ~(baseline : Objfile.t) (o : Objfile.t) =
     o.Objfile.symbols;
   let callees ob =
     let t = Hashtbl.create 64 in
-    List.iter (fun (_, c) -> Hashtbl.replace t c ()) (Objcode.Scan.static_arcs ob);
+    List.iter
+      (fun (_, c) -> Hashtbl.replace t ob.Objfile.symbols.(c).Objfile.name ())
+      (Objcode.Scan.static_arcs ob);
     t
   in
   let base_callees = callees baseline and opt_callees = callees o in
@@ -650,21 +649,13 @@ let statics_profile_findings (st : statics) (o : Objfile.t) (g : Gmon.t) =
                     > 0 then
                 List.iter
                   (fun pc ->
-                    let targets =
-                      match o.Objfile.text.(pc) with
-                      | Instr.Call (t, _) -> [ t ]
-                      | Instr.Calli _ ->
-                        Indirect.targets st.s_indirect ~site:pc
-                      | _ -> []
-                    in
                     let provable =
-                      targets <> []
-                      && List.for_all
-                           (fun t ->
-                             match Objfile.find_symbol o t with
-                             | Some s -> s.Objfile.addr = t && s.Objfile.profiled
-                             | None -> false)
-                           targets
+                      match Indirect.callees o st.s_indirect ~pc with
+                      | [] -> false
+                      | ids ->
+                        List.for_all
+                          (fun id -> o.Objfile.symbols.(id).Objfile.profiled)
+                          ids
                     in
                     if provable && not (Hashtbl.mem arc_from pc) then
                       emit

@@ -164,7 +164,7 @@ val static_warnings : statics -> finding list
     construction. *)
 
 val arity_warnings : params:(string * int) list -> statics -> string list
-(** The [Calli n] sites with candidates ({!Indirect.targets}) none of
+(** The [Calli n] sites with candidates ({!Indirect.callees}) none of
     which declares [n] parameters by [params], each function's
     parameter count in the source. [minic] prints these after
     {!static_warnings}; they are no lint rule, because the object

@@ -43,10 +43,12 @@ let analyze ?indirect (cfg : Cfg.t) =
   let ind =
     match indirect with Some i -> i | None -> Indirect.analyze o
   in
-  let resolved =
-    List.map (fun (site, _) -> (site, Indirect.targets ind ~site)) ind.i_sites
+  let g =
+    Graphlib.Digraph.of_arcs ~n:(Array.length o.Objfile.symbols)
+      (List.map
+         (fun (src, dst) -> (src, dst, 0))
+         (Objcode.Scan.static_arcs o @ ind.Indirect.i_arcs))
   in
-  let g = Cfg.call_graph ~indirect:resolved cfg in
   let roots =
     match Objfile.func_id_of_addr o o.Objfile.entry with
     | Some id -> [ id ]

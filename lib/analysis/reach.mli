@@ -1,9 +1,9 @@
 (** Reachability and dead-code reporting over the static graphs.
 
-    Three questions, all answered from {!Cfg} plus {!Indirect}:
-    which functions can execute at all (interprocedural reachability
-    from the entry point over direct ∪ resolved-indirect arcs), which
-    blocks inside a function can execute (intra-procedural
+    Three questions, all answered from {!Cfg} plus the static call graph:
+    which functions can execute at all (reachability from the entry
+    point over {!Objcode.Scan.static_arcs} ∪ {!Indirect}'s arcs),
+    which blocks inside a function can execute (intra-procedural
     reachability from its entry block), and — the cross-check the
     profile linter leans on — whether the {e dynamic} profile
     contradicts the static verdict. A "dead" function with nonzero
@@ -24,8 +24,9 @@ type t = {
           unreachable blocks, in address order — e.g. the compiler's
           fall-off-the-end epilogue after a body that always returns *)
   r_graph : Graphlib.Digraph.t;
-      (** the static call graph (direct ∪ resolved-indirect arcs) the
-          verdicts were computed over *)
+      (** the static call graph the verdicts were computed over:
+          {!Objcode.Scan.static_arcs} ∪ {!Indirect}'s [i_arcs], every
+          arc with count 0 *)
 }
 
 val analyze : ?indirect:Indirect.t -> Cfg.t -> t

@@ -106,21 +106,14 @@ let analyze ?(options = default_options) ?indirect o (gmon : Gmon.t) =
         Obs.Trace.with_span ~cat:"core" "static-scan" (fun () ->
             (* Direct arcs from the text crawl, plus the sound
                over-approximation of functional-parameter calls the
-               crawl alone cannot see (paper §2). *)
+               crawl alone cannot see (paper §2). Both name routines
+               by symbol index, which is the Symtab id. *)
             let indirect =
               match indirect with
               | Some i -> i
               | None -> Analysis.Indirect.analyze o
             in
-            let named =
-              Objcode.Scan.static_arcs o @ indirect.Analysis.Indirect.i_arcs
-            in
-            List.filter_map
-              (fun (a, b) ->
-                match (Symtab.id_of_name st a, Symtab.id_of_name st b) with
-                | Some ia, Some ib -> Some (ia, ib)
-                | _ -> None)
-              named)
+            Objcode.Scan.static_arcs o @ indirect.Analysis.Indirect.i_arcs)
       else []
     in
     let ag = Arcgraph.build ~static ?unknown st gmon.arcs in

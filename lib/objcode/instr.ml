@@ -57,6 +57,16 @@ let cost = function
   | Syscall (Sys_print | Sys_putc) -> 40
   | Halt -> 1
 
+let pops_pushes = function
+  | Nop | Enter _ | Mcount | Pcount _ | Jump _ | Halt -> (0, 0)
+  | Const _ | Load _ | Gload _ | Funref _ | Syscall Sys_cycles -> (0, 1)
+  | Store _ | Gstore _ | Jumpz _ | Pop | Ret -> (1, 0)
+  | Aload _ | Unop _ | Syscall (Sys_print | Sys_putc | Sys_rand) -> (1, 1)
+  | Astore _ -> (2, 0)
+  | Alu _ -> (2, 1)
+  | Call (_, n) -> (n, 1)
+  | Calli n -> (n + 1, 1)
+
 (* Coarse dispatch groups for the VM's execution-mix breakdown. *)
 let n_groups = 12
 

@@ -56,6 +56,13 @@ val cost : t -> int
     and returns slower than jumps, and syscalls slowest — coarse but
     shaped like the VAX of the paper. *)
 
+val pops_pushes : t -> int * int
+(** The operands an instruction pops, then pushes: the one definition
+    of the operand stack's shape. {!Verify} checks stack heights with
+    it, and the abstract interpreters of [lib/analysis] move their
+    abstract values with it. A call pushes the callee's return value;
+    a [Calli] also pops the callee's address. *)
+
 val n_groups : int
 (** Number of coarse dispatch groups. *)
 

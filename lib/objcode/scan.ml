@@ -1,5 +1,3 @@
-type site = { site_addr : int; caller : string; callee : string }
-
 type anomaly_kind = Mid_function of string | Outside_table
 
 type anomaly = {
@@ -10,9 +8,8 @@ type anomaly = {
   an_instr : [ `Call | `Funref ];
 }
 
-let scan o =
-  let sites = ref [] in
-  let anomalies = ref [] in
+let anomalies o =
+  let acc = ref [] in
   let anomaly pc target instr =
     let kind =
       match Objfile.find_symbol o target with
@@ -20,34 +17,25 @@ let scan o =
       | None -> Outside_table
     in
     let caller = Option.map (fun (s : Objfile.symbol) -> s.name) (Objfile.find_symbol o pc) in
-    anomalies :=
+    acc :=
       { an_addr = pc; an_caller = caller; an_target = target; an_kind = kind;
         an_instr = instr }
-      :: !anomalies
+      :: !acc
   in
   Array.iteri
     (fun pc ins ->
       match (ins : Instr.t) with
       | Call (target, _) -> (
-        match (Objfile.find_symbol o pc, Objfile.find_symbol o target) with
-        | Some caller, Some callee when callee.addr = target ->
-          sites := { site_addr = pc; caller = caller.name; callee = callee.name } :: !sites
-        | None, Some callee when callee.addr = target ->
-          (* The call itself sits in a symbol-table gap: the target is
-             fine but the arc has no caller to attach to. *)
-          anomaly pc target `Call
+        (* a call sitting in a symbol-table gap has a fine target but
+           no caller to attach the arc to *)
+        match (Objfile.symbol_index o pc, Objfile.func_id_of_addr o target) with
+        | Some _, Some _ -> ()
         | _ -> anomaly pc target `Call)
-      | Funref target -> (
-        match Objfile.find_symbol o target with
-        | Some s when s.addr = target -> ()
-        | _ -> anomaly pc target `Funref)
+      | Funref target ->
+        if Objfile.func_id_of_addr o target = None then anomaly pc target `Funref
       | _ -> ())
     o.Objfile.text;
-  (List.rev !sites, List.rev !anomalies)
-
-let call_sites o = fst (scan o)
-
-let anomalies o = snd (scan o)
+  List.rev !acc
 
 let anomaly_to_string a =
   Printf.sprintf "%s at %d%s targets %d, %s"
@@ -60,32 +48,24 @@ let anomaly_to_string a =
     | Outside_table -> "outside the symbol table")
 
 let static_arcs o =
-  let seen = Hashtbl.create 64 in
-  List.filter_map
-    (fun s ->
-      let key = (s.caller, s.callee) in
-      if Hashtbl.mem seen key then None
-      else begin
-        Hashtbl.replace seen key ();
-        Some key
-      end)
-    (call_sites o)
-
-let function_graph o =
   let n = Array.length o.Objfile.symbols in
-  let g = Graphlib.Digraph.create n in
-  let id name =
-    match Objfile.symbol_by_name o name with
-    | Some s -> Objfile.func_id_of_addr o s.addr
-    | None -> None
-  in
-  List.iter
-    (fun (caller, callee) ->
-      match (id caller, id callee) with
-      | Some src, Some dst -> Graphlib.Digraph.add_arc g ~src ~dst ~count:0
+  let seen = Hashtbl.create 64 in
+  let acc = ref [] in
+  Array.iteri
+    (fun pc ins ->
+      match (ins : Instr.t) with
+      | Call (target, _) -> (
+        match (Objfile.symbol_index o pc, Objfile.func_id_of_addr o target) with
+        | Some caller, Some callee ->
+          let key = (caller * n) + callee in
+          if not (Hashtbl.mem seen key) then begin
+            Hashtbl.replace seen key ();
+            acc := (caller, callee) :: !acc
+          end
+        | _ -> ())
       | _ -> ())
-    (static_arcs o);
-  g
+    o.Objfile.text;
+  List.rev !acc
 
 let referenced_functions o =
   let seen = Hashtbl.create 16 in

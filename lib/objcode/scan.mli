@@ -7,13 +7,9 @@
     count of zero." Only direct calls are statically visible —
     indirect calls through functional variables are exactly the arcs
     the static graph may omit (§2 of the paper); {!Analysis.Indirect}
-    narrows that blind spot. *)
-
-type site = {
-  site_addr : int;  (** address of the call instruction *)
-  caller : string;
-  callee : string;
-}
+    narrows that blind spot. Arcs name routines by symbol id, the
+    index into [o.symbols], so two routines that share a name stay
+    two routines. *)
 
 type anomaly_kind =
   | Mid_function of string
@@ -29,31 +25,22 @@ type anomaly = {
   an_instr : [ `Call | `Funref ];
 }
 
-val scan : Objfile.t -> site list * anomaly list
-(** Every direct call instruction, in text order. Calls (and funrefs)
-    whose target is not a symbol entry address are {e not} silently
-    dropped: they come back as anomalies — mid-function targets,
-    targets outside the symbol table, and call instructions sitting in
-    a symbol-table gap. Well-formed assembler output produces no
-    anomalies; hand-built or corrupted images may. *)
-
-val call_sites : Objfile.t -> site list
-(** The sites of {!scan} alone. *)
-
 val anomalies : Objfile.t -> anomaly list
-(** The anomalies of {!scan} alone. *)
+(** Calls and funrefs whose target is not a symbol entry address, in
+    text order: mid-function targets, targets outside the symbol
+    table, and call instructions sitting in a symbol-table gap. They
+    are not silently dropped from the crawl, but they give no arc.
+    Well-formed assembler output produces none; hand-built or
+    corrupted images may. *)
 
 val anomaly_to_string : anomaly -> string
 (** One-line rendering, e.g.
     ["call at 12 (in main) targets 7, mid-leaf"]. *)
 
-val static_arcs : Objfile.t -> (string * string) list
-(** Deduplicated (caller, callee) pairs, in first-occurrence order. *)
-
-val function_graph : Objfile.t -> Graphlib.Digraph.t
-(** The static call graph over symbol indices: node [i] is
-    [o.symbols.(i)]; every arc has weight 0, matching how static arcs
-    enter the profile. *)
+val static_arcs : Objfile.t -> (int * int) list
+(** The direct calls as (caller, callee) symbol ids, deduplicated, in
+    first-occurrence order: the count-0 arcs of the static call
+    graph. Anomalous calls give none. *)
 
 val referenced_functions : Objfile.t -> string list
 (** Functions whose entry address is taken with [Funref] — potential

@@ -5,18 +5,6 @@ exception Reject of string
 let reject o pc fmt =
   Printf.ksprintf (fun s -> raise (Reject (Objfile.location o pc ^ ": " ^ s))) fmt
 
-(* Operands an instruction pops, then pushes. A call's push is the
-   callee's return value. *)
-let pops_pushes : Instr.t -> int * int = function
-  | Nop | Enter _ | Mcount | Pcount _ | Jump _ | Halt -> (0, 0)
-  | Const _ | Load _ | Gload _ | Funref _ | Syscall Sys_cycles -> (0, 1)
-  | Store _ | Gstore _ | Jumpz _ | Pop | Ret -> (1, 0)
-  | Aload _ | Unop _ | Syscall (Sys_print | Sys_putc | Sys_rand) -> (1, 1)
-  | Astore _ -> (2, 0)
-  | Alu _ -> (2, 1)
-  | Call (_, n) -> (n, 1)
-  | Calli n -> (n + 1, 1)
-
 (* One function, from its entry with an empty operand stack and no
    [enter]ed locals. Every reachable pc gets one (height, enter total)
    state; a second path must agree with it. [args] is the fewest
@@ -52,7 +40,7 @@ let verify_function o (s : Objfile.symbol) ~args =
     let pc = work.(!n_work) in
     let h = height.(pc - s.addr) and e = entered.(pc - s.addr) in
     let ins = o.Objfile.text.(pc) in
-    let pops, pushes = pops_pushes ins in
+    let pops, pushes = Instr.pops_pushes ins in
     if h < pops then begin
       match ins with
       | Ret -> reject o pc "return with no value on the operand stack"

@@ -483,8 +483,13 @@ let reorder_blocks ~line_ticks (aprog : Asm.aprog) (obj : Objfile.t) =
 
 (* --- the driver ------------------------------------------------------ *)
 
-let optimize ?(max_callee_size = 24) ?(growth_budget = 256)
-    ?(options = Codegen.default_options) ?(source_name = "<mini>") p gmon =
+(* the inliner's bounds: the largest callee it expands, in
+   instructions, and the estimated growth it allows in all *)
+let max_callee_size = 24
+let growth_budget = 256
+
+let optimize ?(options = Codegen.default_options) ?(source_name = "<mini>") p
+    gmon =
   (* the reference build reproduces the binary the profile was
      gathered from: same options, no inlining *)
   let ref_options = { options with Codegen.inline = [] } in

@@ -68,8 +68,6 @@ type report = {
 }
 
 val optimize :
-  ?max_callee_size:int ->
-  ?growth_budget:int ->
   ?options:Compile.Codegen.options ->
   ?source_name:string ->
   Mini.Ast.program ->
@@ -81,10 +79,10 @@ val optimize :
     recompiled internally and the pairing is verified with
     {!Analysis.Proflint.lint} — error-severity findings (wrong
     binary, impossible arcs) refuse the profile rather than quietly
-    mis-optimizing. [max_callee_size] (default 24 instructions) and
-    [growth_budget] (default 256 instructions of estimated expansion)
-    bound the inliner. Forced [options.inline] names are honoured and
-    marked as such in the report. *)
+    mis-optimizing. The inliner expands callees of at most 24
+    instructions within 256 instructions of estimated expansion
+    ([p_max_size], [p_budget]). Forced [options.inline] names are
+    honoured and marked as such in the report. *)
 
 val report_listing : report -> string
 (** The decision log: profile summary, one line per inline decision

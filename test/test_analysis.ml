@@ -59,19 +59,51 @@ let test_cfg_blocks_partition () =
     [ Workloads.Programs.sort; Workloads.Programs.codegen;
       Workloads.Programs.indirect ]
 
-let test_cfg_subsumes_scan () =
-  (* every arc the per-site scanner finds is in the CFG's direct call
-     graph, and vice versa: the interprocedural view subsumes
-     Scan.function_graph *)
+(* ------------------------------------------------------------------ *)
+(* Indirect *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_callees_agree_with_arcs () =
+  (* the static call graph is stated once, as the id arcs of the crawl
+     and of Indirect: every (caller, callee) a call site can take is
+     one of those arcs, every arc is taken by some site, and Reach's
+     graph holds exactly that arc set, at count 0 *)
+  let compiled =
+    List.map
+      (fun (w : Workloads.Programs.t) ->
+        match Workloads.Driver.compile w with
+        | Ok o -> (w.w_name, o)
+        | Error e -> Alcotest.failf "compile %s: %s" w.w_name e)
+      (Workloads.Programs.all
+      @ List.map
+          (fun f -> workload f (read_file ("fixtures/" ^ f)))
+          [ "smoke.mini"; "smoke_slow.mini"; "smoke_mismatched.mini";
+            "pgo_matrix.mini" ])
+  in
   List.iter
-    (fun w ->
-      let o = (run_workload w).objfile in
-      let cfg_g = Analysis.Cfg.call_graph (Analysis.Cfg.build o) in
-      let scan_g = Scan.function_graph o in
-      check_bool w.Workloads.Programs.w_name true
-        (Graphlib.Digraph.equal cfg_g scan_g))
-    [ Workloads.Programs.sort; Workloads.Programs.recursive;
-      Workloads.Programs.kernel; Workloads.Programs.indirect ]
+    (fun (name, o) ->
+      let ind = Analysis.Indirect.analyze o in
+      let arcs = Scan.static_arcs o @ ind.i_arcs in
+      let taken =
+        List.concat
+          (List.mapi
+             (fun f (s : Objfile.symbol) ->
+               List.concat_map
+                 (fun pc ->
+                   List.map (fun c -> (f, c)) (Analysis.Indirect.callees o ind ~pc))
+                 (List.init s.size (fun i -> s.addr + i)))
+             (Array.to_list o.Objfile.symbols))
+      in
+      let set l = List.sort_uniq compare l in
+      Alcotest.(check (list (pair int int)))
+        (name ^ ": the sites take exactly the arcs") (set arcs) (set taken);
+      let reach = Analysis.Reach.analyze ~indirect:ind (Analysis.Cfg.build o) in
+      Alcotest.(check (list (triple int int int)))
+        (name ^ ": Reach's graph is the arc set, every arc count 0")
+        (List.map (fun (a, b) -> (a, b, 0)) (set arcs))
+        (Graphlib.Digraph.arcs reach.r_graph))
+    (("figure4", Workloads.Figure4.objfile) :: compiled)
 
 (* ------------------------------------------------------------------ *)
 (* Indirect *)
@@ -80,6 +112,11 @@ let entry o name =
   match Objfile.symbol_by_name o name with
   | Some s -> s.Objfile.addr
   | None -> Alcotest.failf "no symbol %s" name
+
+(* id arcs as (caller name, callee name) *)
+let named o =
+  List.map (fun (a, b) ->
+      (o.Objfile.symbols.(a).Objfile.name, o.Objfile.symbols.(b).Objfile.name))
 
 let test_indirect_resolves_dispatch_table () =
   let o = (run_workload Workloads.Programs.indirect).objfile in
@@ -108,7 +145,7 @@ let test_indirect_resolves_dispatch_table () =
   List.iter
     (fun callee ->
       check_bool ("dispatch -> " ^ callee) true
-        (List.mem ("dispatch", callee) ind.i_arcs))
+        (List.mem ("dispatch", callee) (named o ind.i_arcs)))
     [ "on_add"; "on_mul"; "on_neg"; "on_mix" ]
 
 let test_indirect_recall_of_dynamic_arcs () =
@@ -133,7 +170,8 @@ let test_indirect_recall_of_dynamic_arcs () =
   check_bool "saw dynamic indirect arcs" true (dynamic_indirect <> []);
   List.iter
     (fun arc ->
-      check_bool (fst arc ^ " -> " ^ snd arc) true (List.mem arc ind.i_arcs))
+      check_bool (fst arc ^ " -> " ^ snd arc) true
+        (List.mem arc (named o ind.i_arcs)))
     dynamic_indirect
 
 let test_indirect_static_arc_count0_in_report () =
@@ -175,9 +213,12 @@ fun main() {
     check_int "unpicked called 0 times" 0 e.Gprof_core.Profile.e_calls);
   (* without the indirect augmentation the arc is invisible *)
   check_bool "scan alone misses the arc" true
-    (not (List.mem ("main", "unpicked") (Scan.static_arcs r.objfile)));
+    (not
+       (List.mem ("main", "unpicked")
+          (named r.objfile (Scan.static_arcs r.objfile))));
   check_bool "indirect analysis finds it" true
-    (List.mem ("main", "unpicked") (Analysis.Indirect.analyze r.objfile).i_arcs)
+    (List.mem ("main", "unpicked")
+       (named r.objfile (Analysis.Indirect.analyze r.objfile).i_arcs))
 
 (* ------------------------------------------------------------------ *)
 (* Reach *)
@@ -597,8 +638,7 @@ let anomalous_obj () =
 
 let test_scan_anomalies_surfaced () =
   let o = anomalous_obj () in
-  let sites, anomalies = Scan.scan o in
-  check_int "no clean sites" 0 (List.length sites);
+  let anomalies = Scan.anomalies o in
   check_int "two anomalies" 2 (List.length anomalies);
   (match anomalies with
   | [ a1; a2 ] ->
@@ -735,11 +775,11 @@ let () =
         [
           Alcotest.test_case "blocks partition functions" `Quick
             test_cfg_blocks_partition;
-          Alcotest.test_case "call graph subsumes scan" `Quick
-            test_cfg_subsumes_scan;
         ] );
       ( "indirect",
         [
+          Alcotest.test_case "callees agree with the arcs" `Quick
+            test_callees_agree_with_arcs;
           Alcotest.test_case "resolves the dispatch table" `Quick
             test_indirect_resolves_dispatch_table;
           Alcotest.test_case "full recall of dynamic arcs" `Quick

@@ -841,6 +841,56 @@ let test_full_listing_mentions_everything () =
     (fun needle -> check_bool needle true (contains ~needle s))
     [ "call graph profile"; "flat profile"; "index by function name" ]
 
+let test_report_static_arc_keeps_duplicate_name () =
+  (* Two routines named f: main's call to the first sits behind
+     [const 0; jumpz], so only the crawl sees it. The arc must land on
+     that f as a count-0 parent, not on the second f that shares its
+     name. *)
+  let open Objcode.Instr in
+  let o =
+    {
+      Objcode.Objfile.text =
+        [|
+          Mcount; Const 1; Ret;
+          Mcount; Const 2; Ret;
+          Mcount; Const 0; Jumpz 11; Call (0, 0); Pop; Call (3, 0); Pop;
+          Const 0; Ret;
+        |];
+      symbols =
+        [|
+          { Objcode.Objfile.name = "f"; addr = 0; size = 3; profiled = true };
+          { Objcode.Objfile.name = "f"; addr = 3; size = 3; profiled = true };
+          { Objcode.Objfile.name = "main"; addr = 6; size = 9; profiled = true };
+        |];
+      entry = 6;
+      globals = [||];
+      global_init = [||];
+      arrays = [||];
+      lines = [||];
+      source_name = "dupname";
+    }
+  in
+  let m = Vm.Machine.create o in
+  (match Vm.Machine.run m with
+  | Vm.Machine.Halted -> ()
+  | _ -> Alcotest.fail "dupname did not halt");
+  match Report.analyze o (Vm.Machine.profile m) with
+  | Error e -> Alcotest.failf "analyze: %s" e
+  | Ok r ->
+    let parents id =
+      List.map
+        (fun (a : Profile.arc_view) -> (a.av_other, a.av_count, a.av_total))
+        r.profile.entries.(id).e_parents
+    in
+    Alcotest.(check (list (triple bool int int)))
+      "first f: main's static arc, 0/0"
+      [ (true, 0, 0) ]
+      (List.map (fun (p, c, t) -> (p = Profile.Func 2, c, t)) (parents 0));
+    Alcotest.(check (list (triple bool int int)))
+      "second f: main's traversed arc, 1/1"
+      [ (true, 1, 1) ]
+      (List.map (fun (p, c, t) -> (p = Profile.Func 2, c, t)) (parents 1))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "core"
@@ -910,5 +960,7 @@ let () =
           Alcotest.test_case "arc removal" `Quick test_report_arc_removal_breaks_cycle;
           Alcotest.test_case "heuristic break" `Quick test_report_heuristic_break;
           Alcotest.test_case "full listing" `Quick test_full_listing_mentions_everything;
+          Alcotest.test_case "static arc keeps a duplicate name apart" `Quick
+            test_report_static_arc_keeps_duplicate_name;
         ] );
     ]
