@@ -27,6 +27,10 @@ type arc = {
   a_count : int;  (** traversals observed *)
 }
 
+val compare_arc : arc -> arc -> int
+(** The order of a profile's [arcs]: by [a_from], then [a_self];
+    counts are not compared. *)
+
 type t = {
   hist : hist;
   arcs : arc list;  (** sorted by (from, self); no duplicates *)

@@ -81,7 +81,7 @@ type epoch_state = {
 type t = {
   config : config;
   o : Objfile.t;
-  text : Instr.t array;
+  text : Instr.t array; (* the machine's own copy of the verified text *)
   costs : Bytes.t; (* Instr.cost per pc *)
   entry_fid : int array;
       (* symbol id per function entry address, -1 elsewhere: the O(1)
@@ -100,7 +100,9 @@ type t = {
   globals : int array;
   arrays : int array array;
   mutable cycles : int;
-  max_cycles : int; (* max_int when unlimited *)
+  limit : int;
+      (* max_cycles + 1, max_int when unlimited: an instruction that
+         would end at or past it faults *)
   mutable next_tick : int;
   mutable n_ticks : int;
   profil : Profil.t;
@@ -110,11 +112,10 @@ type t = {
   pcounts : int array;
   oracle : Oracle.t option;
   sampler : Stacksamp.t option;
-  counting : bool; (* count_instructions or metrics *)
   icounts : int array;
-      (* executions per pc, empty unless counting: the instruction
-         counts and the metrics' dispatch breakdown both derive from
-         it, so the hot path bumps one counter *)
+      (* executions per pc, always kept: the instruction counts and the
+         metrics' dispatch breakdown both derive from it, so the hot
+         path bumps one counter and tests no setting *)
   prng : Util.Prng.t;
   out : Buffer.t;
   mutable status : status;
@@ -129,13 +130,22 @@ type t = {
 let create ?(config = default_config) o =
   let text_size = Array.length o.Objfile.text in
   if text_size = 0 then invalid_arg "Machine.create: empty text segment";
+  let positive what n =
+    if n <= 0 then invalid_arg ("Machine.create: " ^ what ^ " must be positive")
+  in
+  positive "cycles_per_tick" config.cycles_per_tick;
+  positive "ticks_per_second" config.ticks_per_second;
+  Option.iter (positive "epoch_ticks") config.epoch_ticks;
   let facts =
     match Objcode.Verify.check o with
     | Ok v -> v
     | Error es -> invalid_arg ("Machine.create: " ^ String.concat "; " es)
   in
+  (* The loop trusts what Verify proved of this text, so it runs a copy
+     the caller cannot change after the proof. *)
+  let text = Array.copy o.text in
   let entry_fid =
-    if Array.exists (function Instr.Calli _ -> true | _ -> false) o.text then begin
+    if Array.exists (function Instr.Calli _ -> true | _ -> false) text then begin
       let t = Array.make text_size (-1) in
       Array.iteri (fun f s -> t.(s.Objfile.addr) <- f) o.symbols;
       t
@@ -155,8 +165,8 @@ let create ?(config = default_config) o =
     {
       config;
       o;
-      text = o.text;
-      costs = cost_table o.text;
+      text;
+      costs = cost_table text;
       entry_fid;
       min_args = facts.min_args;
       room = facts.max_stack;
@@ -172,7 +182,10 @@ let create ?(config = default_config) o =
       globals = Array.copy o.global_init;
       arrays = Array.map (fun (_, len) -> Array.make len 0) o.arrays;
       cycles = 0;
-      max_cycles = Option.value config.max_cycles ~default:max_int;
+      limit =
+        (match config.max_cycles with
+        | Some n when n < max_int -> n + 1
+        | _ -> max_int);
       next_tick = config.cycles_per_tick;
       n_ticks = 0;
       profil;
@@ -186,10 +199,7 @@ let create ?(config = default_config) o =
           (fun i ->
             Stacksamp.create ?capacity:config.stack_capacity ~interval:i ())
           config.stack_interval;
-      counting = config.count_instructions || config.metrics;
-      icounts =
-        (if config.count_instructions || config.metrics then Array.make text_size 0
-         else [||]);
+      icounts = Array.make text_size 0;
       prng = Util.Prng.create config.seed;
       out = Buffer.create 256;
       status = Running;
@@ -199,7 +209,6 @@ let create ?(config = default_config) o =
         (match config.epoch_ticks with
         | None -> None
         | Some n ->
-          if n <= 0 then invalid_arg "Machine.create: epoch_ticks must be positive";
           Some
             {
               ep_every = n;
@@ -323,9 +332,7 @@ let arc_delta ~prev ~cur =
     | _, [] -> List.rev acc
     | [], c :: cs -> go [] cs (if c.Gmon.a_count <> 0 then c :: acc else acc)
     | p :: ps, c :: cs ->
-      let k =
-        compare (c.Gmon.a_from, c.Gmon.a_self) (p.Gmon.a_from, p.Gmon.a_self)
-      in
+      let k = Gmon.compare_arc c p in
       if k = 0 then begin
         let d = c.Gmon.a_count - p.Gmon.a_count in
         go ps cs (if d <> 0 then { c with Gmon.a_count = d } :: acc else acc)
@@ -390,19 +397,6 @@ exception Fault of string
 
 let fault m reason = m.status <- Faulted { fault_pc = m.pc; reason }
 
-(* Verified code never underflows, and every call makes room for the
-   deepest operand stack a frame builds, so pushes need no capacity
-   check. *)
-let push m v =
-  let sp = m.sp in
-  m.stack.(sp) <- v;
-  m.sp <- sp + 1
-
-let pop m =
-  let sp = m.sp - 1 in
-  m.sp <- sp;
-  m.stack.(sp)
-
 let grown a need =
   let b = Array.make (max need (2 * Array.length a)) 0 in
   Array.blit a 0 b 0 (Array.length a);
@@ -449,12 +443,14 @@ let calli_target m target =
   f
 
 (* Move the top [nargs] operands into a fresh locals window and push a
-   frame with [m.room] words of operand stack above its base. *)
+   frame with [m.room] words of operand stack above its base. Reads
+   [m.sp] and [m.cycles], so the loop writes them back first. *)
 let do_call m ~target ~nargs ~checked ~ret_pc =
   let base = m.sp - nargs and lb = m.ltop in
   if lb + nargs > Array.length m.locals then m.locals <- grown m.locals (lb + nargs);
+  let stack = m.stack and locals = m.locals in
   for i = 0 to nargs - 1 do
-    m.locals.(lb + i) <- m.stack.(base + i)
+    Array.unsafe_set locals (lb + i) (Array.unsafe_get stack (base + i))
   done;
   m.sp <- base;
   if base + m.room > Array.length m.stack then m.stack <- grown m.stack (base + m.room);
@@ -477,17 +473,18 @@ let do_call m ~target ~nargs ~checked ~ret_pc =
   m.pc <- target
 
 let do_ret m =
-  let value = pop m in
+  let value = Array.unsafe_get m.stack (m.sp - 1) in
   let fr = (m.depth - 1) * frame_words in
   (match m.oracle with
   | Some orc -> Oracle.on_return orc ~now:m.cycles
   | None -> ());
   (* Reset the operand stack to the caller's height; balanced code
      leaves nothing extra, but hand-written code may. *)
-  m.sp <- m.frames.(fr + f_base);
+  let base = m.frames.(fr + f_base) in
   m.ltop <- m.lbase;
   m.depth <- m.depth - 1;
   if m.depth = 0 then begin
+    m.sp <- base;
     m.status <- Halted;
     m.result <- Some value
   end
@@ -495,146 +492,202 @@ let do_ret m =
     let caller = fr - frame_words in
     m.lbase <- m.frames.(caller + f_lbase);
     m.checked <- m.frames.(caller + f_checked) = 1;
-    push m value;
+    Array.unsafe_set m.stack base value;
+    m.sp <- base + 1;
     m.pc <- m.frames.(fr + f_ret)
   end
 
-let check_slot m slot =
-  if slot >= m.ltop - m.lbase then
-    raise (Fault (Printf.sprintf "local slot %d out of range" slot))
+(* The monitoring routine's cost for the current frame's arc. *)
+let mcount m =
+  let fr = (m.depth - 1) * frame_words in
+  let cost =
+    Monitor.record m.monitor
+      ~frompc:(m.frames.(fr + f_ret) - 1)
+      ~selfpc:m.frames.(fr + f_entry)
+  in
+  m.mcount_cycles <- m.mcount_cycles + cost;
+  cost
 
-let index_check m a arr i =
-  if i < 0 || i >= Array.length arr then
-    raise
-      (Fault
-         (Printf.sprintf "index %d out of bounds for %s[%d]" i
-            (fst m.o.Objfile.arrays.(a))
-            (Array.length arr)))
+let sync m pc sp cycles =
+  m.pc <- pc;
+  m.sp <- sp;
+  m.cycles <- cycles
 
-(* One instruction and the clock ticks it completes. A fault leaves
-   [m.pc] at the faulting instruction: every handler writes the pc
-   last, after the checks that can raise. *)
-let exec m =
+(* A fault leaves the record as the instruction left it, with [m.pc]
+   at the faulting instruction. *)
+let fault_at m pc sp cycles reason =
+  sync m pc sp cycles;
+  raise (Fault reason)
+
+let slot_fault m pc sp cycles slot =
+  fault_at m pc sp cycles (Printf.sprintf "local slot %d out of range" slot)
+
+let index_fault m pc sp cycles a arr i =
+  fault_at m pc sp cycles
+    (Printf.sprintf "index %d out of bounds for %s[%d]" i
+       (fst m.o.Objfile.arrays.(a))
+       (Array.length arr))
+
+(* The dispatch loop: each instruction's semantics, written once.
+   [pc], [sp] and [cycles] live in the arguments; the record sees them
+   only where other code reads them: a call, a return, a tick serviced
+   inside [Mcount], a fault, a halt, and the horizon [h]. An instruction
+   runs only while it ends before [h], so one comparison stands for the
+   next tick, the cycle limit and the stop point; the instruction that
+   would reach [h] is left unexecuted for [step_one].
+
+   The unchecked accesses are the ones [Objfile.validate] and [Verify]
+   proved of [m.text] at [create]: control stays inside verified code,
+   so [pc] indexes the text, the cost table and the counts; a frame's
+   operand stack never underflows its base, and every call makes room
+   above the base for the deepest stack a frame builds; a frame entered
+   by [call], or by [calli] with at least [min_args] arguments, reads
+   only slots in its window; global, array and pcount ids, and the
+   symbol id behind a [calli] target, index arrays of the size they
+   were checked against. *)
+let rec loop m pc sp cycles h =
+  let c = cycles + Char.code (Bytes.unsafe_get m.costs pc) in
+  if c >= h then sync m pc sp cycles
+  else begin
+    let counts = m.icounts in
+    Array.unsafe_set counts pc (Array.unsafe_get counts pc + 1);
+    let stack = m.stack in
+    match Array.unsafe_get m.text pc with
+    | Instr.Nop -> loop m (pc + 1) sp c h
+    | Const n ->
+      Array.unsafe_set stack sp n;
+      loop m (pc + 1) (sp + 1) c h
+    | Load slot ->
+      if m.checked && slot >= m.ltop - m.lbase then slot_fault m pc sp c slot;
+      Array.unsafe_set stack sp (Array.unsafe_get m.locals (m.lbase + slot));
+      loop m (pc + 1) (sp + 1) c h
+    | Store slot ->
+      if m.checked && slot >= m.ltop - m.lbase then slot_fault m pc sp c slot;
+      Array.unsafe_set m.locals (m.lbase + slot) (Array.unsafe_get stack (sp - 1));
+      loop m (pc + 1) (sp - 1) c h
+    | Gload g ->
+      Array.unsafe_set stack sp (Array.unsafe_get m.globals g);
+      loop m (pc + 1) (sp + 1) c h
+    | Gstore g ->
+      Array.unsafe_set m.globals g (Array.unsafe_get stack (sp - 1));
+      loop m (pc + 1) (sp - 1) c h
+    | Aload a ->
+      let arr = Array.unsafe_get m.arrays a and i = Array.unsafe_get stack (sp - 1) in
+      if i < 0 || i >= Array.length arr then index_fault m pc (sp - 1) c a arr i;
+      Array.unsafe_set stack (sp - 1) (Array.unsafe_get arr i);
+      loop m (pc + 1) sp c h
+    | Astore a ->
+      let arr = Array.unsafe_get m.arrays a and i = Array.unsafe_get stack (sp - 2) in
+      if i < 0 || i >= Array.length arr then index_fault m pc (sp - 2) c a arr i;
+      Array.unsafe_set arr i (Array.unsafe_get stack (sp - 1));
+      loop m (pc + 1) (sp - 2) c h
+    | Alu op ->
+      let b = Array.unsafe_get stack (sp - 1) and a = Array.unsafe_get stack (sp - 2) in
+      let v =
+        match op with
+        | Add -> a + b
+        | Sub -> a - b
+        | Mul -> a * b
+        | Div -> if b = 0 then fault_at m pc (sp - 2) c "division by zero" else a / b
+        | Mod -> if b = 0 then fault_at m pc (sp - 2) c "division by zero" else a mod b
+        | Lt -> Bool.to_int (a < b)
+        | Le -> Bool.to_int (a <= b)
+        | Gt -> Bool.to_int (a > b)
+        | Ge -> Bool.to_int (a >= b)
+        | Eq -> Bool.to_int (a = b)
+        | Ne -> Bool.to_int (a <> b)
+      in
+      Array.unsafe_set stack (sp - 2) v;
+      loop m (pc + 1) (sp - 1) c h
+    | Unop Neg ->
+      Array.unsafe_set stack (sp - 1) (-Array.unsafe_get stack (sp - 1));
+      loop m (pc + 1) sp c h
+    | Unop Not ->
+      Array.unsafe_set stack (sp - 1) (Bool.to_int (Array.unsafe_get stack (sp - 1) = 0));
+      loop m (pc + 1) sp c h
+    | Jump target -> loop m target sp c h
+    | Jumpz target ->
+      let next = if Array.unsafe_get stack (sp - 1) = 0 then target else pc + 1 in
+      loop m next (sp - 1) c h
+    | Call (target, nargs) ->
+      sync m pc sp c;
+      check_depth m;
+      do_call m ~target ~nargs ~checked:false ~ret_pc:(pc + 1);
+      loop m target m.sp c h
+    | Calli nargs ->
+      let target = Array.unsafe_get stack (sp - 1) in
+      sync m pc (sp - 1) c;
+      check_depth m;
+      let f = calli_target m target in
+      let checked = nargs < Array.unsafe_get m.min_args f in
+      do_call m ~target ~nargs ~checked ~ret_pc:(pc + 1);
+      loop m target m.sp c h
+    | Funref addr ->
+      Array.unsafe_set stack sp addr;
+      loop m (pc + 1) (sp + 1) c h
+    | Enter extra ->
+      let top = m.ltop + extra in
+      if top > Array.length m.locals then m.locals <- grown m.locals top;
+      Array.fill m.locals m.ltop extra 0;
+      m.ltop <- top;
+      loop m (pc + 1) sp c h
+    | Mcount ->
+      let c = if m.monitoring then c + mcount m else c in
+      if c >= m.next_tick then begin
+        sync m (pc + 1) sp c;
+        service_ticks m ~at_pc:pc;
+        loop m (pc + 1) sp m.cycles h
+      end
+      else loop m (pc + 1) sp c h
+    | Pcount f ->
+      if m.monitoring then
+        Array.unsafe_set m.pcounts f (Array.unsafe_get m.pcounts f + 1);
+      loop m (pc + 1) sp c h
+    | Ret ->
+      sync m pc sp c;
+      do_ret m;
+      if m.status == Running then loop m m.pc m.sp c h
+    | Pop -> loop m (pc + 1) (sp - 1) c h
+    | Syscall Sys_print ->
+      Buffer.add_string m.out (string_of_int (Array.unsafe_get stack (sp - 1)));
+      Buffer.add_char m.out '\n';
+      loop m (pc + 1) sp c h
+    | Syscall Sys_putc ->
+      let v = Array.unsafe_get stack (sp - 1) in
+      Buffer.add_char m.out (Char.chr (((v mod 256) + 256) mod 256));
+      loop m (pc + 1) sp c h
+    | Syscall Sys_rand ->
+      let bound = Array.unsafe_get stack (sp - 1) in
+      Array.unsafe_set stack (sp - 1)
+        (if bound <= 0 then 0 else Util.Prng.int m.prng bound);
+      loop m (pc + 1) sp c h
+    | Syscall Sys_cycles ->
+      Array.unsafe_set stack sp c;
+      loop m (pc + 1) (sp + 1) c h
+    | Halt ->
+      sync m pc sp c;
+      m.status <- Halted;
+      m.result <- Some 0
+  end
+
+(* One instruction and the clock ticks it completes: the instruction
+   that reaches the horizon, every instruction of [step], and every
+   instruction while a fault is being injected. The checks keep their
+   order: the injected fault, then the cycle limit, then the loop under
+   a horizon one cycle past this instruction, which no following
+   instruction can start before (every instruction costs a cycle). *)
+let step_one m =
   let pc = m.pc in
   let n = m.fault_countdown in
   if n <= 0 then raise (Fault injected_fault_reason);
   m.fault_countdown <- n - 1;
-  if m.counting then m.icounts.(pc) <- m.icounts.(pc) + 1;
-  let cycles = m.cycles + Char.code (Bytes.get m.costs pc) in
-  m.cycles <- cycles;
-  if cycles > m.max_cycles then raise (Fault "cycle limit exceeded");
-  (match m.text.(pc) with
-  | Instr.Nop -> m.pc <- pc + 1
-  | Const n ->
-    push m n;
-    m.pc <- pc + 1
-  | Load slot ->
-    if m.checked then check_slot m slot;
-    push m m.locals.(m.lbase + slot);
-    m.pc <- pc + 1
-  | Store slot ->
-    if m.checked then check_slot m slot;
-    m.locals.(m.lbase + slot) <- pop m;
-    m.pc <- pc + 1
-  | Gload g ->
-    push m m.globals.(g);
-    m.pc <- pc + 1
-  | Gstore g ->
-    m.globals.(g) <- pop m;
-    m.pc <- pc + 1
-  | Aload a ->
-    let arr = m.arrays.(a) in
-    let i = pop m in
-    index_check m a arr i;
-    push m arr.(i);
-    m.pc <- pc + 1
-  | Astore a ->
-    let arr = m.arrays.(a) in
-    let v = pop m in
-    let i = pop m in
-    index_check m a arr i;
-    arr.(i) <- v;
-    m.pc <- pc + 1
-  | Alu op ->
-    let b = pop m in
-    let a = pop m in
-    push m
-      (match op with
-      | Add -> a + b
-      | Sub -> a - b
-      | Mul -> a * b
-      | Div -> if b = 0 then raise (Fault "division by zero") else a / b
-      | Mod -> if b = 0 then raise (Fault "division by zero") else a mod b
-      | Lt -> Bool.to_int (a < b)
-      | Le -> Bool.to_int (a <= b)
-      | Gt -> Bool.to_int (a > b)
-      | Ge -> Bool.to_int (a >= b)
-      | Eq -> Bool.to_int (a = b)
-      | Ne -> Bool.to_int (a <> b));
-    m.pc <- pc + 1
-  | Unop Neg ->
-    push m (-pop m);
-    m.pc <- pc + 1
-  | Unop Not ->
-    push m (Bool.to_int (pop m = 0));
-    m.pc <- pc + 1
-  | Jump target -> m.pc <- target
-  | Jumpz target -> m.pc <- (if pop m = 0 then target else pc + 1)
-  | Call (target, nargs) ->
-    check_depth m;
-    do_call m ~target ~nargs ~checked:false ~ret_pc:(pc + 1)
-  | Calli nargs ->
-    let target = pop m in
-    check_depth m;
-    let f = calli_target m target in
-    do_call m ~target ~nargs ~checked:(nargs < m.min_args.(f)) ~ret_pc:(pc + 1)
-  | Funref addr ->
-    push m addr;
-    m.pc <- pc + 1
-  | Enter extra ->
-    let top = m.ltop + extra in
-    if top > Array.length m.locals then m.locals <- grown m.locals top;
-    Array.fill m.locals m.ltop extra 0;
-    m.ltop <- top;
-    m.pc <- pc + 1
-  | Mcount ->
-    if m.monitoring then begin
-      let fr = (m.depth - 1) * frame_words in
-      let cost =
-        Monitor.record m.monitor
-          ~frompc:(m.frames.(fr + f_ret) - 1)
-          ~selfpc:m.frames.(fr + f_entry)
-      in
-      m.cycles <- m.cycles + cost;
-      m.mcount_cycles <- m.mcount_cycles + cost
-    end;
-    m.pc <- pc + 1
-  | Pcount f ->
-    if m.monitoring then m.pcounts.(f) <- m.pcounts.(f) + 1;
-    m.pc <- pc + 1
-  | Ret -> do_ret m
-  | Pop ->
-    m.sp <- m.sp - 1;
-    m.pc <- pc + 1
-  | Syscall sc ->
-    (match sc with
-    | Sys_print ->
-      let v = pop m in
-      Buffer.add_string m.out (string_of_int v);
-      Buffer.add_char m.out '\n';
-      push m v
-    | Sys_putc ->
-      let v = pop m in
-      Buffer.add_char m.out (Char.chr (((v mod 256) + 256) mod 256));
-      push m v
-    | Sys_rand ->
-      let bound = pop m in
-      push m (if bound <= 0 then 0 else Util.Prng.int m.prng bound)
-    | Sys_cycles -> push m m.cycles);
-    m.pc <- pc + 1
-  | Halt ->
-    m.status <- Halted;
-    m.result <- Some 0);
+  let c = m.cycles + Char.code (Bytes.get m.costs pc) in
+  if c >= m.limit then begin
+    m.icounts.(pc) <- m.icounts.(pc) + 1;
+    m.cycles <- c;
+    raise (Fault "cycle limit exceeded")
+  end;
+  loop m pc m.sp m.cycles (c + 1);
   if m.cycles >= m.next_tick then service_ticks m ~at_pc:pc
 
 (* The oracle closes its books after the halting instruction's ticks. *)
@@ -646,19 +699,24 @@ let finish m =
 let step m =
   (match m.status with
   | Running ->
-    (try exec m with Fault reason -> fault m reason);
+    (try step_one m with Fault reason -> fault m reason);
     finish m
   | Halted | Faulted _ -> ());
   m.status
 
 (* [run] and [run_cycles]: one exception handler per call, not per
-   instruction. *)
+   instruction. Without an injected fault, the loop runs up to the
+   horizon, the nearest of the next tick, the cycle limit and the stop
+   point, and [step_one] takes the instruction that reaches it. *)
 let run_until m stop_at =
   (match m.status with
   | Running ->
+    let fast = Option.is_none m.config.fault_after_instr in
     (try
        while m.status == Running && m.cycles < stop_at do
-         exec m
+         if fast then
+           loop m m.pc m.sp m.cycles (Int.min stop_at (Int.min m.next_tick m.limit));
+         if m.status == Running && m.cycles < stop_at then step_one m
        done
      with Fault reason -> fault m reason);
     finish m
@@ -667,4 +725,6 @@ let run_until m stop_at =
 
 let run m = run_until m max_int
 
-let run_cycles m budget = run_until m (m.cycles + budget)
+(* The stop point saturates: a budget past max_int cycles means no stop. *)
+let run_cycles m budget =
+  run_until m (if budget > max_int - m.cycles then max_int else m.cycles + budget)

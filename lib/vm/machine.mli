@@ -35,14 +35,16 @@ type config = {
       (** distinct-stack bound for the interning sample buffer;
           [None] = the sampler's default (4096) *)
   count_instructions : bool;
-      (** keep an exact per-address execution count (drives the
-          annotated-source listing); free of simulated-cycle cost,
-          like a hardware trace unit *)
+      (** report the exact per-address execution counts
+          ({!instruction_counts}, which drive the annotated-source
+          listing); free of simulated-cycle cost, like a hardware trace
+          unit *)
   metrics : bool;
-      (** maintain the self-observability counters (instructions
+      (** report the self-observability counters (instructions
           executed, dispatch-group breakdown); free of simulated-cycle
-          cost, and cheap enough in host time to leave on (bench
-          [t-obs] measures the overhead) *)
+          cost. The loop keeps the per-address counts both settings
+          read whether or not either is set, so neither costs host time
+          (bench [t-obs] measures the difference) *)
   tick_jitter : float;
       (** 0 = strictly periodic ticks; q > 0 randomizes each interval
           uniformly within ±q/2 of its length, modelling an imperfect
@@ -82,17 +84,32 @@ type t
 
 val create : ?config:config -> Objcode.Objfile.t -> t
 (** Verify the object code ({!Objcode.Verify.check}) and set up a
-    machine at its entry point. Verified code then runs without the
-    per-instruction checks verification proves; the faults left to run
-    time are an array index out of bounds, division by zero, a [calli]
-    target outside the text or not a function entry, a local slot out
-    of range in a frame entered through [calli] with fewer arguments
-    than its body reads, the depth limit, the cycle limit, and the
-    injected fault.
+    machine at its entry point. The machine keeps its own copy of the
+    verified text, so writing the object's text afterwards does not
+    change the run.
+
+    Verified code then runs in one dispatch loop that keeps the program
+    counter, the operand-stack height and the cycle count in registers
+    and makes one comparison per instruction: the instruction's end
+    cycle against a horizon, the nearest of the next clock tick, the
+    cycle limit and the {!run_cycles} stop point. The instruction that
+    reaches the horizon, every {!step}, and every instruction of a run
+    with [fault_after_instr] set take the same loop one instruction at
+    a time, followed by the ticks it completes.
+
+    The loop does not bounds-check what {!Objcode.Objfile.validate} and
+    {!Objcode.Verify.check} proved: the text and cost table at the pc,
+    the operand stack, the locals of frames whose slots were verified,
+    global, array and pcount ids, and the callee's [min_args]. The
+    faults left to run time are an array index out of bounds, division
+    by zero, a [calli] target outside the text or not a function entry,
+    a local slot out of range in a frame entered through [calli] with
+    fewer arguments than its body reads, the depth limit, the cycle
+    limit, and the injected fault; each names the faulting pc.
     @raise Invalid_argument on an empty text segment, a non-positive
-    [epoch_ticks], or refused code, with the verifier's located
-    message: ["Machine.create: main+2 (pc 77): operand stack
-    underflow"]. *)
+    [cycles_per_tick], [ticks_per_second] or [epoch_ticks], or refused
+    code, with the verifier's located message: ["Machine.create: main+2
+    (pc 77): operand stack underflow"]. *)
 
 val obj : t -> Objcode.Objfile.t
 
@@ -106,7 +123,8 @@ val run_cycles : t -> int -> status
 (** [run_cycles m n] runs until at least [n] more cycles have elapsed
     (or halt/fault): it stops before the first instruction that would
     start at or past the budget. Returns [Running] if the budget
-    expired. *)
+    expired. A budget that reaches past [max_int] cycles runs like
+    {!run}. *)
 
 val status : t -> status
 

@@ -1251,6 +1251,27 @@ let test_proftop_cli () =
     (contains ~needle:"traceEvents"
        (In_channel.with_open_text trace In_channel.input_all))
 
+(* A clock setting of zero would stop simulated time (a tick interval
+   of 0 cycles never lets the clock catch up) or divide by it, so
+   minirun refuses it on the command line, naming the option, with
+   cmdliner's exit code. [timeout] turns a run that never returns into
+   a failure instead of a stalled suite. *)
+let test_clock_options_positive () =
+  let src = write_source () in
+  let obj = path "clock.obj" in
+  ignore (run_cmd [ exe "minic"; src; "-o"; obj ]);
+  List.iter
+    (fun opt ->
+      let code, _ =
+        run_cmd
+          [ "timeout"; "-s"; "KILL"; "10"; exe "minirun"; obj; "-q"; "--gmon";
+            path "clock.gmon"; opt ^ "=0" ]
+      in
+      check_int (opt ^ "=0 is a command-line error") 124 code;
+      check_bool (opt ^ " named") true
+        (contains ~needle:("option '" ^ opt ^ "'") (stderr_text ())))
+    [ "--hz"; "--cycles-per-tick"; "--bucket-size"; "--epoch-ticks"; "--sample-ticks" ]
+
 let test_bad_inputs_fail_cleanly () =
   let code, _ = run_cmd [ exe "minic"; path "nonexistent.mini" ] in
   check_bool "minic rejects missing file" true (code <> 0);
@@ -1366,6 +1387,7 @@ let () =
           Alcotest.test_case "profd chaos" `Slow test_profd_chaos_cli;
           Alcotest.test_case "proftop telemetry" `Slow test_proftop_cli;
           Alcotest.test_case "bad inputs" `Slow test_bad_inputs_fail_cleanly;
+          Alcotest.test_case "clock options positive" `Slow test_clock_options_positive;
           Alcotest.test_case "crafted objects" `Slow test_crafted_objects_refused;
         ] );
     ]

@@ -439,26 +439,34 @@ let check_parity drive config o =
 
 (* Every knob the dispatch loop treats specially: instruction counts,
    stack sampling, jittered ticks, epochs, the injected fault, the
-   cycle cap, keying, bucket size, metrics and oracle on or off. *)
+   cycle cap, keying, bucket size, metrics and oracle on or off. A
+   clock of 1 or 7 cycles per tick, or run_cycles slices under 50
+   cycles, put a horizon on nearly every instruction; those runs keep
+   the 40,000-cycle cap, and the fine clocks sample no stacks, whose
+   walk would cost more than a tick and never let the clock catch up. *)
 let config_gen =
   QCheck.Gen.(
-    let* cycles_per_tick = oneofl [ 97; 1_000; 16_666 ] in
+    let* cycles_per_tick = oneofl [ 1; 7; 97; 1_000; 16_666 ] in
     let* hist_bucket_size = oneofl [ 1; 4 ] in
     let* keying = oneofl Vm.Monitor.[ Site_primary; Callee_primary ] in
     let* count_instructions = bool in
     let* metrics = bool in
     let* oracle = bool in
-    let* stack_interval = opt (int_range 1 3) in
+    let fine_clock = cycles_per_tick < 97 in
+    let* stack_interval = if fine_clock then return None else opt (int_range 1 3) in
     let* tick_jitter = oneofl [ 0.0; 0.3 ] in
     let* seed = int_range 1 1_000 in
-    let* max_cycles = oneofl [ Some 3_000_000; Some 40_000 ] in
     let* max_depth = oneofl [ 2; 4; 100_000 ] in
     let* fault_after_instr = opt (int_range 0 20_000) in
     let* epoch_ticks = opt (int_range 1 8) in
     let* drive =
       frequency
-        [ (2, return Run); (2, map (fun n -> Slices n) (int_range 50 20_000));
-          (1, return Steps) ]
+        [ (2, return Run); (1, map (fun n -> Slices n) (int_range 1 49));
+          (2, map (fun n -> Slices n) (int_range 50 20_000)); (1, return Steps) ]
+    in
+    let fine = fine_clock || (match drive with Slices n -> n < 50 | _ -> false) in
+    let* max_cycles =
+      if fine then return (Some 40_000) else oneofl [ Some 3_000_000; Some 40_000 ]
     in
     return
       ( { Vm.Machine.default_config with

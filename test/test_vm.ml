@@ -476,7 +476,34 @@ let test_fault_cycle_limit () =
   | _ -> Alcotest.fail "expected cycle-limit fault");
   (* A fault is sticky. *)
   check_bool "still faulted" true
-    (match Vm.Machine.step m with Vm.Machine.Faulted _ -> true | _ -> false)
+    (match Vm.Machine.step m with Vm.Machine.Faulted _ -> true | _ -> false);
+  (* The limit's edge on a halting program: a limit of exactly its
+     cycles lets it halt; one cycle less faults at main's final ret,
+     the instruction that would end past the limit. *)
+  let o =
+    assemble
+      [ asm_fun "main"
+          [ Objcode.Asm.Ins (Objcode.Asm.AConst 2);
+            Objcode.Asm.Ins (Objcode.Asm.AConst 3);
+            Objcode.Asm.Ins (Objcode.Asm.AAlu Objcode.Instr.Mul);
+            Objcode.Asm.Ins Objcode.Asm.ARet ] ]
+  in
+  let total =
+    let m = Vm.Machine.create o in
+    check_bool "halts without a limit" true (Vm.Machine.run m = Vm.Machine.Halted);
+    Vm.Machine.cycles m
+  in
+  let limited n =
+    Vm.Machine.create ~config:{ Vm.Machine.default_config with max_cycles = Some n } o
+  in
+  let m = limited total in
+  check_bool "halts at a limit of its total" true (Vm.Machine.run m = Vm.Machine.Halted);
+  check_int "all cycles ran" total (Vm.Machine.cycles m);
+  match Vm.Machine.run (limited (total - 1)) with
+  | Vm.Machine.Faulted f ->
+    Alcotest.(check string) "one cycle less" "cycle limit exceeded" f.reason;
+    check_bool "at main's final ret" true (o.Objcode.Objfile.text.(f.fault_pc) = Objcode.Instr.Ret)
+  | _ -> Alcotest.fail "expected a cycle-limit fault one cycle short"
 
 (* ------------------------------------------------------------------ *)
 (* Machine: clock, control interface, profile extraction *)
@@ -551,7 +578,43 @@ let test_run_cycles_budget () =
   let st = Vm.Machine.run_cycles m 50_000 in
   check_bool "still running" true (st = Vm.Machine.Running);
   check_bool "ran about the budget" true
-    (Vm.Machine.cycles m >= 50_000 && Vm.Machine.cycles m < 80_000)
+    (Vm.Machine.cycles m >= 50_000 && Vm.Machine.cycles m < 80_000);
+  (* a budget past max_int cycles from here is no stop point at all *)
+  check_bool "max_int budget runs to the end" true
+    (Vm.Machine.run_cycles m max_int = Vm.Machine.Halted)
+
+(* The machine runs the text it verified: overwriting the caller's
+   object after [create] changes nothing about the run. *)
+let test_machine_owns_text () =
+  let o = Result.get_ok (Workloads.Driver.compile Workloads.Programs.matrix) in
+  let run m =
+    check_bool "halts" true (Vm.Machine.run m = Vm.Machine.Halted);
+    (Vm.Machine.output m, Vm.Machine.cycles m, Gmon.to_bytes (Vm.Machine.profile m))
+  in
+  let untouched = run (Vm.Machine.create o) in
+  let m = Vm.Machine.create o in
+  Array.fill o.text 0 (Array.length o.text) (Objcode.Instr.Load 100_000);
+  let output, cycles, gmon = run m in
+  let u_output, u_cycles, u_gmon = untouched in
+  Alcotest.(check string) "output" u_output output;
+  check_int "cycles" u_cycles cycles;
+  check_bool "profile" true (String.equal u_gmon gmon)
+
+(* A clock that cannot advance is refused before the run, like a
+   non-positive epoch length. *)
+let test_create_refuses_clock () =
+  let o = compile_src looping_src in
+  List.iter
+    (fun (what, config) ->
+      match Vm.Machine.create ~config o with
+      | _ -> Alcotest.failf "accepted %s" what
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) what ("Machine.create: " ^ what ^ " must be positive") msg)
+    Vm.Machine.
+      [ ("cycles_per_tick", { default_config with cycles_per_tick = 0 });
+        ("cycles_per_tick", { default_config with cycles_per_tick = -5 });
+        ("ticks_per_second", { default_config with ticks_per_second = 0 });
+        ("epoch_ticks", { default_config with epoch_ticks = Some 0 }) ]
 
 let test_pcounts () =
   let options =
@@ -750,6 +813,9 @@ let () =
           Alcotest.test_case "profile extraction" `Quick test_profile_extraction_valid;
           Alcotest.test_case "control interface" `Quick test_control_interface;
           Alcotest.test_case "run_cycles budget" `Quick test_run_cycles_budget;
+          Alcotest.test_case "owns its text" `Quick test_machine_owns_text;
+          Alcotest.test_case "create refuses a stopped clock" `Quick
+            test_create_refuses_clock;
           Alcotest.test_case "pcounts" `Quick test_pcounts;
           Alcotest.test_case "mcount overhead charged" `Quick
             test_mcount_overhead_charged;
