@@ -1,7 +1,8 @@
-(* The dataflow engine: what dominators, the three solver passes, and
-   the full dataflow-aware lint cost per instruction on the stock
-   workloads, and whether the static cost bounds order the routines
-   the way the measured profile does. *)
+(* The dataflow engine: what dominators, the two solver passes
+   (liveness and constant propagation), and the full dataflow-aware
+   lint cost per instruction on the stock workloads, and whether the
+   static cost bounds order the routines the way the measured profile
+   does. *)
 
 open Harness
 
@@ -19,7 +20,7 @@ let time_of f =
   List.fold_left min infinity samples
 
 let t_dataflow () =
-  section "dataflow pass cost (dominators + RD + liveness + constprop + lint)";
+  section "dataflow pass cost (dominators + liveness + constprop + lint)";
   Printf.printf "  %-16s %6s %6s %6s %10s %10s %10s\n" "workload" "text"
     "blocks" "loops" "dom us" "facts us" "lint us";
   let rows =
@@ -27,9 +28,8 @@ let t_dataflow () =
       (fun (w : Workloads.Programs.t) ->
         let r = run_workload w in
         let o = r.objfile in
-        let cfg = Analysis.Cfg.build o in
-        let ind = Analysis.Indirect.analyze o in
-        let arities = Analysis.Facts.arities ~indirect:ind cfg in
+        let statics = Analysis.Proflint.prepare o in
+        let cfg = statics.s_cfg and arities = statics.s_arities in
         let nonempty f = Array.length f.Analysis.Cfg.fn_blocks > 0 in
         let doms () =
           Array.map
@@ -40,13 +40,11 @@ let t_dataflow () =
           Array.iteri
             (fun i f ->
               if nonempty f then begin
-                ignore (Analysis.Facts.reaching o f);
                 ignore (Analysis.Facts.liveness o f);
                 ignore (Analysis.Facts.constprop ?arity:arities.(i) o f)
               end)
             cfg.Analysis.Cfg.cfg_funcs
         in
-        let statics = Analysis.Proflint.prepare ~cfg ~indirect:ind o in
         let measure () =
           ( time_of doms,
             time_of facts,
@@ -98,11 +96,11 @@ let t_dataflow () =
   let hi = worst () in
   Printf.printf "  worst per-instruction cost: %.0f ns%s\n" (hi *. 1e9)
     (if !sweeps > 1 then Printf.sprintf " (best of %d sweeps)" !sweeps else "");
-  (* The whole stack — dominators, three fixpoints, and the lint over
+  (* The whole stack — dominators, two fixpoints, and the lint over
      the results — is a few linear scans and small worklists; the
      EXPERIMENTS.md budget is 500 ns per instruction on the stock
      workloads. *)
-  expect "dom + 3 passes + lint under 500 ns/instr" (hi < budget);
+  expect "dom + liveness + constprop + lint under 500 ns/instr" (hi < budget);
 
   section "static cost bounds vs measured self time";
   let r = run_workload Workloads.Programs.sort in

@@ -4,13 +4,14 @@ module Instr = Objcode.Instr
 type block = {
   bb_start : int;
   bb_len : int;
-  bb_succs : int list;
   bb_calls : int list;
 }
 
 type func = {
   fn_symbol : Objfile.symbol;
   fn_blocks : block array;
+  fn_graph : Dataflow.graph;
+  fn_reachable : bool array;
 }
 
 type t = {
@@ -23,7 +24,10 @@ type t = {
    fall through, exactly as the paper's call sites sit mid-routine. *)
 
 let build_func (o : Objfile.t) (s : Objfile.symbol) =
-  if s.size <= 0 then { fn_symbol = s; fn_blocks = [||] }
+  if s.size <= 0 then
+    { fn_symbol = s; fn_blocks = [||];
+      fn_graph = { Dataflow.g_entry = 0; g_succs = [||]; g_preds = [||] };
+      fn_reachable = [||] }
   else
   let lo = s.addr and hi = s.addr + s.size in
   let in_func a = a >= lo && a < hi in
@@ -44,8 +48,13 @@ let build_func (o : Objfile.t) (s : Objfile.symbol) =
     done;
     !acc
   in
-  let blocks =
-    List.map
+  (* every in-function jump target and every fall-through address is a
+     leader, so each successor address has a block index here *)
+  let index = Array.make (hi - lo) (-1) in
+  List.iteri (fun i start -> index.(start - lo) <- i) starts;
+  let block_at a = index.(a - lo) in
+  let blocks, succs =
+    List.split @@ List.map
       (fun start ->
         let block_end =
           (* one past the last instruction of this block *)
@@ -60,15 +69,15 @@ let build_func (o : Objfile.t) (s : Objfile.symbol) =
           go start
         in
         let last = block_end - 1 in
+        let fall = if block_end < hi then [ block_at block_end ] else [] in
         let succs =
           match o.text.(last) with
-          | Instr.Jump t -> if in_func t then [ t ] else []
+          | Instr.Jump t -> if in_func t then [ block_at t ] else []
           | Instr.Jumpz t ->
-            let fall = if block_end < hi then [ block_end ] else [] in
-            let taken = if in_func t then [ t ] else [] in
+            let taken = if in_func t then [ block_at t ] else [] in
             List.sort_uniq compare (taken @ fall)
           | Instr.Ret | Instr.Halt -> []
-          | _ -> if block_end < hi then [ block_end ] else []
+          | _ -> fall
         in
         let calls = ref [] in
         for pc = block_end - 1 downto start do
@@ -76,11 +85,13 @@ let build_func (o : Objfile.t) (s : Objfile.symbol) =
           | Instr.Call _ | Instr.Calli _ -> calls := pc :: !calls
           | _ -> ()
         done;
-        { bb_start = start; bb_len = block_end - start; bb_succs = succs;
-          bb_calls = !calls })
+        ({ bb_start = start; bb_len = block_end - start; bb_calls = !calls },
+         succs))
       starts
   in
-  { fn_symbol = s; fn_blocks = Array.of_list blocks }
+  let g = Dataflow.graph_of_succs ~entry:0 (Array.of_list succs) in
+  { fn_symbol = s; fn_blocks = Array.of_list blocks; fn_graph = g;
+    fn_reachable = Dataflow.reachable g }
 
 let n_blocks t =
   Array.fold_left (fun n f -> n + Array.length f.fn_blocks) 0 t.cfg_funcs
@@ -88,7 +99,7 @@ let n_blocks t =
 let n_edges t =
   Array.fold_left
     (fun n f ->
-      Array.fold_left (fun n b -> n + List.length b.bb_succs) n f.fn_blocks)
+      Array.fold_left (fun n s -> n + Array.length s) n f.fn_graph.g_succs)
     0 t.cfg_funcs
 
 let build o =
@@ -105,11 +116,6 @@ let build o =
   Obs.Metrics.incr ~by:(n_blocks t) (Obs.Metrics.counter reg "analysis.cfg.blocks");
   Obs.Metrics.incr ~by:(n_edges t) (Obs.Metrics.counter reg "analysis.cfg.edges");
   t
-
-let block_of_addr f addr =
-  Array.find_opt
-    (fun b -> addr >= b.bb_start && addr < b.bb_start + b.bb_len)
-    f.fn_blocks
 
 let block_index f addr =
   (* fn_blocks is address-sorted *)

@@ -5,16 +5,15 @@
     inside each routine: basic blocks, their intra-procedural edges,
     and the call sites each block holds. The call graph between
     routines is {!Objcode.Scan.static_arcs} with {!Indirect}'s arcs;
-    the block structure is what the reachability pass ({!Reach}) and
-    the profile linter ({!Proflint}) stand on. *)
+    the block structure is what the reachability pass ({!Reach}), the
+    dataflow passes ({!Dom}, {!Facts}), the profile linter
+    ({!Proflint}) and {!Cost} stand on. {!build} is the one place a
+    function's block graph is derived: each of them reads
+    [fn_graph] and [fn_reachable] rather than deriving its own. *)
 
 type block = {
   bb_start : int;  (** address of the first instruction *)
   bb_len : int;  (** number of instructions, >= 1 *)
-  bb_succs : int list;
-      (** successor block start addresses within the same function,
-          ascending; falls through, jump targets, both arms of a
-          conditional. Return/halt blocks have none. *)
   bb_calls : int list;
       (** addresses of [Call]/[Calli] instructions inside the block,
           ascending *)
@@ -25,6 +24,13 @@ type func = {
   fn_blocks : block array;
       (** ascending by [bb_start]; the first block starts at the
           function entry *)
+  fn_graph : Dataflow.graph;
+      (** the intra-procedural edges over indices into [fn_blocks],
+          entry 0: a block's successors are its fall-through, its jump
+          target, or both arms of a conditional; return/halt blocks
+          have none. Successors and predecessors ascend. *)
+  fn_reachable : bool array;
+      (** per block: reachable from the entry block over [fn_graph] *)
 }
 
 type t = {
@@ -39,13 +45,10 @@ val build : Objcode.Objfile.t -> t
     the function (invalid images) contribute no edge. Publishes
     [analysis.cfg.*] counters to {!Obs.Metrics.default}. *)
 
-val block_of_addr : func -> int -> block option
-(** The block whose address range contains the given address. *)
-
 val block_index : func -> int -> int option
-(** Like {!block_of_addr} but returning the index into [fn_blocks] —
-    the block numbering {!Dataflow.graph_of_func}, {!Dom}, and
-    {!Facts} all share. Binary search. *)
+(** The index into [fn_blocks] of the block whose address range
+    contains the given address — the block numbering [fn_graph],
+    {!Dom} and {!Facts} all share. Binary search. *)
 
 val n_blocks : t -> int
 (** Total basic blocks over all functions. *)

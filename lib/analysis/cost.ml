@@ -38,7 +38,7 @@ let static_estimate ?indirect (cfg : Cfg.t) =
         if Array.length f.Cfg.fn_blocks = 0 then None
         else begin
           let dom = Dom.compute f in
-          let reach = Dataflow.reachable dom.Dom.d_graph in
+          let reach = f.Cfg.fn_reachable in
           let self = ref 0 in
           let sites = ref [] in
           Array.iteri

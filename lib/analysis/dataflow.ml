@@ -12,14 +12,6 @@ module Bits = struct
     if w < 0 then invalid_arg "Bits.empty: negative width";
     Array.make ((w + bits_per_word - 1) / bits_per_word) 0
 
-  let full w =
-    let t = empty w in
-    for i = 0 to w - 1 do
-      t.(i / bits_per_word) <-
-        t.(i / bits_per_word) lor (1 lsl (i mod bits_per_word))
-    done;
-    t
-
   let check t i =
     if i < 0 || i / bits_per_word >= Array.length t then
       invalid_arg "Bits: element out of width"
@@ -49,7 +41,6 @@ module Bits = struct
     Array.init (Array.length a) (fun i -> op a.(i) b.(i))
 
   let union a b = zip ( lor ) a b
-  let inter a b = zip ( land ) a b
   let diff a b = zip (fun x y -> x land lnot y) a b
 
   (* hand-rolled: polymorphic compare on the word array is a measurable
@@ -60,21 +51,6 @@ module Bits = struct
        &&
        let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
        go (Array.length a - 1)
-  let is_empty t = Array.for_all (fun w -> w = 0) t
-
-  let cardinal t =
-    let pop w =
-      let rec go w n = if w = 0 then n else go (w lsr 1) (n + (w land 1)) in
-      go w 0
-    in
-    Array.fold_left (fun n w -> n + pop w) 0 t
-
-  let elements t =
-    let acc = ref [] in
-    for i = (Array.length t * bits_per_word) - 1 downto 0 do
-      if mem t i then acc := i :: !acc
-    done;
-    !acc
 end
 
 (* ------------------------------------------------------------------ *)
@@ -104,31 +80,6 @@ let graph_of_succs ~entry succs =
     g_succs = Array.map Array.of_list succs;
     g_preds = Array.map (fun l -> Array.of_list (List.rev l)) preds;
   }
-
-let graph_of_func (f : Cfg.func) =
-  let n = Array.length f.Cfg.fn_blocks in
-  if n = 0 then invalid_arg "Dataflow.graph_of_func: empty function";
-  (* fn_blocks is address-sorted, so a successor address maps to a
-     block index by binary search; Cfg guarantees targets are block
-     starts *)
-  let index_of addr =
-    let rec go lo hi =
-      if lo > hi then None
-      else
-        let mid = (lo + hi) / 2 in
-        let s = f.Cfg.fn_blocks.(mid).Cfg.bb_start in
-        if s = addr then Some mid
-        else if s < addr then go (mid + 1) hi
-        else go lo (mid - 1)
-    in
-    go 0 (n - 1)
-  in
-  let succs =
-    Array.map
-      (fun (b : Cfg.block) -> List.filter_map index_of b.Cfg.bb_succs)
-      f.Cfg.fn_blocks
-  in
-  graph_of_succs ~entry:0 succs
 
 let reachable g =
   let n = Array.length g.g_succs in

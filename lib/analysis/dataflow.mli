@@ -5,10 +5,10 @@
     a per-block transfer function, and an optional per-edge refinement
     — and a worklist fixpoint that is {e fuel-bounded} so a broken
     transfer function (or an adversarial binary) degrades to a
-    reported non-convergence instead of a hung tool. The three
-    instantiations living in {!Facts} (reaching definitions, liveness,
-    conditional constant propagation) all go through {!Make.solve};
-    {!Dom} shares the {!graph} view.
+    reported non-convergence instead of a hung tool. The two
+    instantiations living in {!Facts} (liveness, conditional constant
+    propagation) go through {!Make.solve}; {!Dom} shares the {!graph}
+    view.
 
     Solving publishes [analysis.dataflow.*] counters (passes,
     iterations, fuel exhaustions) to {!Obs.Metrics.default}. *)
@@ -25,28 +25,19 @@ module Bits : sig
   val empty : int -> t
   (** [empty w] is the empty set of width [w]. *)
 
-  val full : int -> t
-  (** [full w] holds every element of [0..w-1]. *)
-
   val add : t -> int -> t
   val remove : t -> int -> t
   val mem : t -> int -> bool
   val union : t -> t -> t
-  val inter : t -> t -> t
   val diff : t -> t -> t
   val equal : t -> t -> bool
-  val is_empty : t -> bool
-  val cardinal : t -> int
-
-  val elements : t -> int list
-  (** Ascending. *)
 end
 
 (** {1 Graphs}
 
     The solver's view of a function: blocks as integers [0..n-1] with
-    successor/predecessor adjacency. {!graph_of_func} derives it from
-    a {!Cfg.func}; tests build arbitrary graphs directly. *)
+    successor/predecessor adjacency. {!Cfg.build} derives one per
+    function ([fn_graph]); tests build arbitrary graphs directly. *)
 
 type graph = {
   g_entry : int;
@@ -57,11 +48,6 @@ type graph = {
 val graph_of_succs : entry:int -> int list array -> graph
 (** Build a graph from successor lists; predecessors are derived.
     @raise Invalid_argument on an out-of-range entry or successor. *)
-
-val graph_of_func : Cfg.func -> graph
-(** Block indices in [Cfg.func] order ([fn_blocks] is address-sorted,
-    so block 0 — the function entry — is the graph entry).
-    @raise Invalid_argument on a function with no blocks. *)
 
 val reachable : graph -> bool array
 (** Forward reachability from [g_entry]. *)

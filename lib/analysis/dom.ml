@@ -1,16 +1,12 @@
 type loop = {
   l_header : int;
   l_body : int list;
-  l_back_edges : int list;
   l_depth : int;
   l_parent : int option;
 }
 
 type t = {
-  d_graph : Dataflow.graph;
   d_idom : int array;
-  d_frontier : int list array;
-  d_rpo : int array;
   d_loops : loop array;
   d_depth : int array;
   d_irreducible : bool;
@@ -80,25 +76,6 @@ let dominates_idom idom a b =
     let rec up x = if x = a then true else if idom.(x) = x then false else up idom.(x) in
     up b
 
-let frontiers (g : Dataflow.graph) idom =
-  let n = Array.length g.Dataflow.g_succs in
-  let df = Array.make n [] in
-  for b = 0 to n - 1 do
-    if idom.(b) >= 0 && Array.length g.Dataflow.g_preds.(b) >= 2 then
-      Array.iter
-        (fun p ->
-          if idom.(p) >= 0 then begin
-            let runner = ref p in
-            while !runner <> idom.(b) do
-              if not (List.mem b df.(!runner)) then
-                df.(!runner) <- b :: df.(!runner);
-              runner := idom.(!runner)
-            done
-          end)
-        g.Dataflow.g_preds.(b)
-  done;
-  Array.map (fun l -> List.sort compare l) df
-
 (* The natural loop of a back edge src -> header: header plus every
    block that reaches src against the flow without passing header. *)
 let natural_loop (g : Dataflow.graph) ~header ~src =
@@ -118,7 +95,6 @@ let of_graph g =
   let n = Array.length g.Dataflow.g_succs in
   let rpo, retreating = dfs g in
   let idom = idoms g rpo in
-  let df = frontiers g idom in
   (* back edges are the retreating edges whose target dominates the
      source; any remaining retreating edge witnesses irreducibility *)
   let back, irreducible =
@@ -178,17 +154,7 @@ let of_graph g =
       (fun i (h, body) ->
         {
           l_header = h;
-          l_body =
-            Array.to_list
-              (Array.of_seq
-                 (Seq.filter_map
-                    (fun b -> if body.(b) then Some b else None)
-                    (Seq.init n Fun.id)));
-          l_back_edges =
-            List.sort compare
-              (List.filter_map
-                 (fun (src, dst) -> if dst = h then Some src else None)
-                 back);
+          l_body = List.filter (fun b -> body.(b)) (List.init n Fun.id);
           l_depth = depth_of.(i);
           l_parent = parent.(i);
         })
@@ -202,17 +168,14 @@ let of_graph g =
         body)
     bodies;
   {
-    d_graph = g;
     d_idom = idom;
-    d_frontier = df;
-    d_rpo = rpo;
     d_loops = loops;
     d_depth = block_depth;
     d_irreducible = irreducible;
   }
 
 let compute (f : Cfg.func) =
-  let t = of_graph (Dataflow.graph_of_func f) in
+  let t = of_graph f.Cfg.fn_graph in
   let reg = Obs.Metrics.default in
   Obs.Metrics.incr (Obs.Metrics.counter reg "analysis.dom.functions");
   Obs.Metrics.incr ~by:(Array.length t.d_loops)

@@ -1,15 +1,15 @@
-(** Dominator trees, dominance frontiers, and natural loops.
+(** Dominator trees and natural loops.
 
     Immediate dominators via the Cooper–Harvey–Kennedy iterative
     algorithm ("A Simple, Fast Dominance Algorithm"): reverse-postorder
     sweeps with the two-finger intersection, no Lengauer–Tarjan link-eval
     machinery — at Mini function sizes the simple algorithm is also the
-    fast one. On top: dominance frontiers (per CHK), back edges
-    ([src -> header] where the header dominates the source), the natural
-    loop of each header, nesting depth per block, and an irreducibility
-    verdict (a DFS retreating edge whose target does {e not} dominate its
-    source — a loop with more than one entry, which natural-loop analysis
-    cannot represent).
+    fast one. On top: back edges ([src -> header] where the header
+    dominates the source), the natural loop of each header, nesting
+    depth per block, and an irreducibility verdict (a DFS retreating
+    edge whose target does {e not} dominate its source — a loop with
+    more than one entry, which natural-loop analysis cannot
+    represent).
 
     {!compute} publishes [analysis.dom.*] counters (functions, loops,
     irreducible) to {!Obs.Metrics.default}. *)
@@ -17,18 +17,14 @@
 type loop = {
   l_header : int;  (** block index of the single entry *)
   l_body : int list;  (** blocks of the loop, ascending, includes header *)
-  l_back_edges : int list;  (** sources of the back edges into the header *)
   l_depth : int;  (** 1 = outermost *)
   l_parent : int option;  (** index in [d_loops] of the enclosing loop *)
 }
 
 type t = {
-  d_graph : Dataflow.graph;
   d_idom : int array;
       (** immediate dominator per block; the entry maps to itself,
           unreachable blocks to [-1] *)
-  d_frontier : int list array;  (** dominance frontier per block, ascending *)
-  d_rpo : int array;  (** reachable blocks in reverse postorder *)
   d_loops : loop array;
       (** one natural loop per header (multiple back edges into one
           header merge), ordered by header index *)
@@ -42,8 +38,8 @@ type t = {
 val of_graph : Dataflow.graph -> t
 
 val compute : Cfg.func -> t
-(** [of_graph] over {!Dataflow.graph_of_func}, with metrics.
-    @raise Invalid_argument on a function with no blocks. *)
+(** [of_graph] over the function's [fn_graph], with metrics. The
+    function must have at least one block. *)
 
 val dominates : t -> int -> int -> bool
 (** [dominates t a b]: every path from the entry to [b] passes through

@@ -44,16 +44,11 @@ let scan_nslots (o : Objfile.t) (f : Cfg.func) =
   !hi
 
 (* ------------------------------------------------------------------ *)
-(* Reaching definitions *)
+(* Liveness *)
 
-type rd = {
-  rd_defs : (int * int) array;
-  rd_in : Bits.t array;
-  rd_out : Bits.t array;
-  rd_stats : Dataflow.stats;
-}
-
-module RdL = struct
+(* slot sets; [bottom] is a zero-width placeholder the solver seeds,
+   widened to the function's slot count where a pass reads it *)
+module BitsL = struct
   type t = Bits.t
 
   let bottom = Bits.empty 0
@@ -61,69 +56,7 @@ module RdL = struct
   let join a b = if a == bottom then b else if b == bottom then a else Bits.union a b
 end
 
-module RdSolver = Dataflow.Make (RdL)
-
-let reaching ?nslots (o : Objfile.t) (f : Cfg.func) =
-  let nslots = max (scan_nslots o f) (Option.value nslots ~default:0) in
-  let stores = ref [] in
-  Array.iter
-    (fun (b : Cfg.block) ->
-      for pc = b.Cfg.bb_start to b.Cfg.bb_start + b.Cfg.bb_len - 1 do
-        match o.Objfile.text.(pc) with
-        | Instr.Store s -> stores := (pc, s) :: !stores
-        | _ -> ()
-      done)
-    f.Cfg.fn_blocks;
-  let defs =
-    Array.of_list
-      (List.init nslots (fun s -> (-1, s)) @ List.sort compare !stores)
-  in
-  let ndefs = Array.length defs in
-  let empty = Bits.empty ndefs in
-  (* every def of each slot, as a set — the kill mask of a store *)
-  let slot_defs = Array.make (max nslots 1) empty in
-  Array.iteri (fun i (_, s) -> slot_defs.(s) <- Bits.add slot_defs.(s) i) defs;
-  let def_at = Hashtbl.create 16 in
-  Array.iteri (fun i (pc, _) -> if pc >= 0 then Hashtbl.replace def_at pc i) defs;
-  let g = Dataflow.graph_of_func f in
-  let widen b = if Bits.equal b RdL.bottom then Bits.empty ndefs else b in
-  (* precompute per-block gen/kill once so the transfer applied on
-     every worklist visit is two word-parallel set operations instead
-     of an instruction walk *)
-  let nblocks = Array.length f.Cfg.fn_blocks in
-  let gen = Array.make nblocks empty and kill = Array.make nblocks empty in
-  Array.iteri
-    (fun bi (b : Cfg.block) ->
-      let gn = ref empty and kl = ref empty in
-      for pc = b.Cfg.bb_start to b.Cfg.bb_start + b.Cfg.bb_len - 1 do
-        match o.Objfile.text.(pc) with
-        | Instr.Store s when s < nslots ->
-          kl := Bits.union !kl slot_defs.(s);
-          gn := Bits.add (Bits.diff !gn slot_defs.(s)) (Hashtbl.find def_at pc)
-        | _ -> ()
-      done;
-      gen.(bi) <- !gn;
-      kill.(bi) <- !kl)
-    f.Cfg.fn_blocks;
-  let transfer bi fact =
-    Bits.union gen.(bi) (Bits.diff (widen fact) kill.(bi))
-  in
-  let boundary =
-    List.fold_left Bits.add (Bits.empty ndefs) (List.init nslots Fun.id)
-  in
-  let res =
-    RdSolver.solve g
-      { direction = Dataflow.Forward; boundary; transfer; edge = None }
-  in
-  {
-    rd_defs = defs;
-    rd_in = Array.map widen res.RdSolver.r_in;
-    rd_out = Array.map widen res.RdSolver.r_out;
-    rd_stats = res.RdSolver.r_stats;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Liveness *)
+module BitsSolver = Dataflow.Make (BitsL)
 
 type live = {
   lv_nslots : int;
@@ -135,8 +68,7 @@ type live = {
 
 let liveness ?nslots (o : Objfile.t) (f : Cfg.func) =
   let nslots = max (scan_nslots o f) (Option.value nslots ~default:0) in
-  let g = Dataflow.graph_of_func f in
-  let widen b = if Bits.equal b RdL.bottom then Bits.empty nslots else b in
+  let widen b = if Bits.equal b BitsL.bottom then Bits.empty nslots else b in
   (* backward: the fact is the live-slot set at the point under the
      cursor; walk the block bottom-up *)
   let back bi fact dead =
@@ -177,7 +109,7 @@ let liveness ?nslots (o : Objfile.t) (f : Cfg.func) =
     Bits.union use.(bi) (Bits.diff (widen fact) def.(bi))
   in
   let res =
-    RdSolver.solve g
+    BitsSolver.solve f.Cfg.fn_graph
       {
         direction = Dataflow.Backward;
         boundary = Bits.empty nslots;
@@ -187,10 +119,10 @@ let liveness ?nslots (o : Objfile.t) (f : Cfg.func) =
   in
   (* in flow orientation r_in is the fact at block end, r_out at its
      start; surface them in program orientation *)
-  let lv_out = Array.map widen res.RdSolver.r_in in
-  let lv_in = Array.map widen res.RdSolver.r_out in
+  let lv_out = Array.map widen res.BitsSolver.r_in in
+  let lv_in = Array.map widen res.BitsSolver.r_out in
   let dead =
-    if not res.RdSolver.r_stats.Dataflow.st_converged then []
+    if not res.BitsSolver.r_stats.Dataflow.st_converged then []
     else begin
       let acc = ref [] in
       Array.iteri (fun bi _ -> ignore (back bi lv_out.(bi) (Some acc)))
@@ -203,7 +135,7 @@ let liveness ?nslots (o : Objfile.t) (f : Cfg.func) =
     lv_in;
     lv_out;
     lv_dead_stores = dead;
-    lv_stats = res.RdSolver.r_stats;
+    lv_stats = res.BitsSolver.r_stats;
   }
 
 let dead_params (l : live) ~arity =
@@ -296,7 +228,7 @@ type cp = {
 
 let constprop ?arity (o : Objfile.t) (f : Cfg.func) =
   let nslots = max (scan_nslots o f) (Option.value arity ~default:0) in
-  let g = Dataflow.graph_of_func f in
+  let g = f.Cfg.fn_graph in
   let blocks = f.Cfg.fn_blocks in
   let simulate (b : Cfg.block) slots0 =
     let slots = Array.copy slots0 in
@@ -382,10 +314,9 @@ let constprop ?arity (o : Objfile.t) (f : Cfg.func) =
       Array.init n (fun b ->
           b = 0 || res.CpSolver.r_in.(b) <> CpL.Unreach)
     in
-    let plain = Dataflow.reachable g in
     let dead = ref [] in
     for b = n - 1 downto 0 do
-      if plain.(b) && not executable.(b) then dead := b :: !dead
+      if f.Cfg.fn_reachable.(b) && not executable.(b) then dead := b :: !dead
     done;
     let branches = ref [] in
     Array.iteri
@@ -393,8 +324,7 @@ let constprop ?arity (o : Objfile.t) (f : Cfg.func) =
         if executable.(bi) then
           let last = b.Cfg.bb_start + b.Cfg.bb_len - 1 in
           match o.Objfile.text.(last) with
-          | Instr.Jumpz _ when List.length (List.sort_uniq compare b.Cfg.bb_succs) >= 2
-            -> (
+          | Instr.Jumpz _ when Array.length g.Dataflow.g_succs.(bi) >= 2 -> (
             let e =
               match (bi, res.CpSolver.r_in.(bi)) with
               | 0, CpL.Unreach -> (

@@ -1,9 +1,9 @@
-(** The three stock instantiations of {!Dataflow} over Mini bytecode:
-    reaching definitions, liveness, and conditional constant
-    propagation — the per-block facts {!Proflint}'s dataflow rules and
-    {!Cost} consume.
+(** The two stock instantiations of {!Dataflow} over Mini bytecode:
+    liveness and conditional constant propagation — the per-block
+    facts {!Proflint}'s dataflow rules consume. Both solve over the
+    function's {!Cfg.func} [fn_graph].
 
-    All three work on local slots: parameters occupy slots
+    Both work on local slots: parameters occupy slots
     [0..arity-1] (filled from the operand stack at call time), the
     remaining slots are zero-initialized by [Enter]. Arity is not
     recorded in the object file, so {!arities} reconstructs it from
@@ -22,23 +22,6 @@ val arities : ?indirect:Indirect.t -> Cfg.t -> int option array
     reach the function (direct calls and resolved indirect sites)
     agrees on it; the entry function takes no arguments by the Mini
     contract. [None] = uncalled or inconsistent. *)
-
-(** {1 Reaching definitions} *)
-
-type rd = {
-  rd_defs : (int * int) array;
-      (** the definition sites, [(pc, slot)]; one pseudo-definition
-          [(-1, slot)] per slot models the value the frame was created
-          with (a parameter or [Enter]'s zero) *)
-  rd_in : Dataflow.Bits.t array;  (** per block, indexed into [rd_defs] *)
-  rd_out : Dataflow.Bits.t array;
-  rd_stats : Dataflow.stats;
-}
-
-val reaching : ?nslots:int -> Objcode.Objfile.t -> Cfg.func -> rd
-(** Forward may-analysis: which definitions of each slot can reach
-    each block. The objfile supplies the instruction text the
-    function's blocks index into. *)
 
 (** {1 Liveness} *)
 

@@ -117,12 +117,10 @@ type statics = {
   s_cp : Facts.cp option array;
 }
 
-let prepare ?cfg ?indirect (o : Objfile.t) =
+let prepare (o : Objfile.t) =
   Obs.Trace.with_span ~cat:"analysis" "lint-prepare" @@ fun () ->
-  let cfg = match cfg with Some c -> c | None -> Cfg.build o in
-  let indirect =
-    match indirect with Some i -> i | None -> Indirect.analyze o
-  in
+  let cfg = Cfg.build o in
+  let indirect = Indirect.analyze o in
   let arities = Facts.arities ~indirect cfg in
   let n = Array.length cfg.Cfg.cfg_funcs in
   let doms = Array.make n None in
@@ -152,9 +150,10 @@ let prepare ?cfg ?indirect (o : Objfile.t) =
    the continue jump is unreachable. *)
 let loop_top (o : Objfile.t) (f : Cfg.func) pc =
   let s = f.Cfg.fn_symbol in
-  match Cfg.block_of_addr f pc with
+  match Cfg.block_index f pc with
   | None -> false
-  | Some b ->
+  | Some bi ->
+    let b = f.Cfg.fn_blocks.(bi) in
     let rec scan q =
       q < s.Objfile.addr + s.Objfile.size
       && (o.Objfile.text.(q) = Instr.Jump b.Cfg.bb_start || scan (q + 1))
@@ -195,8 +194,7 @@ let dataflow_findings (st : statics) =
       match (st.s_doms.(i), st.s_live.(i), st.s_cp.(i)) with
       | Some dom, Some live, Some cp ->
         let name = f.Cfg.fn_symbol.Objfile.name in
-        let plain = Dataflow.reachable dom.Dom.d_graph in
-        let alive bi = plain.(bi) && cp.Facts.cp_executable.(bi) in
+        let alive bi = f.Cfg.fn_reachable.(bi) && cp.Facts.cp_executable.(bi) in
         List.iter
           (fun (pc, slot) ->
             match Cfg.block_index f pc with
@@ -309,10 +307,8 @@ let anomaly_findings o =
         (Objcode.Scan.anomaly_to_string a))
     (Objcode.Scan.anomalies o)
 
-let binary_findings ?cfg ?indirect ?statics (o : Objfile.t) =
-  let statics =
-    match statics with Some s -> s | None -> prepare ?cfg ?indirect o
-  in
+let binary_findings ?statics (o : Objfile.t) =
+  let statics = match statics with Some s -> s | None -> prepare o in
   let cfg = statics.s_cfg in
   let indirect = statics.s_indirect in
   let acc = ref (List.rev (anomaly_findings o)) in
@@ -349,11 +345,11 @@ let binary_result fs =
   publish fs;
   { l_findings = fs; l_arcs_checked = 0; l_buckets_checked = 0 }
 
-let lint_binary ?cfg ?indirect ?statics o =
+let lint_binary ?statics o =
   Obs.Trace.with_span ~cat:"analysis" "lint-binary" @@ fun () ->
   match invalid_findings o with
   | Some invalid -> binary_result invalid
-  | None -> binary_result (snd (binary_findings ?cfg ?indirect ?statics o))
+  | None -> binary_result (snd (binary_findings ?statics o))
 
 (* ------------------------------------------------------------------ *)
 (* PGO pairing rules: does an optimized rebuild still line up with the
@@ -617,13 +613,12 @@ let statics_profile_findings (st : statics) (o : Objfile.t) (g : Gmon.t) =
       | Some dom, Some cp ->
         let sym = f.Cfg.fn_symbol in
         let name = sym.Objfile.name in
-        let plain = Dataflow.reachable dom.Dom.d_graph in
         let fticks = ticks_touching sym.Objfile.addr (sym.Objfile.addr + sym.Objfile.size) in
         let fcalls = arc_into.(i) in
         (* dead-block-ticks: samples inside code no execution reaches *)
         Array.iteri
           (fun bi (b : Cfg.block) ->
-            if not (plain.(bi) && cp.Facts.cp_executable.(bi)) then begin
+            if not (f.Cfg.fn_reachable.(bi) && cp.Facts.cp_executable.(bi)) then begin
               let lo = b.Cfg.bb_start and hi = b.Cfg.bb_start + b.Cfg.bb_len in
               let _, t = buckets_within lo hi in
               if t > 0 then
@@ -642,7 +637,7 @@ let statics_profile_findings (st : statics) (o : Objfile.t) (g : Gmon.t) =
         if fticks > 0 || fcalls > 0 then
           Array.iteri
             (fun bi (b : Cfg.block) ->
-              if dom.Dom.d_depth.(bi) >= 1 && plain.(bi)
+              if dom.Dom.d_depth.(bi) >= 1 && f.Cfg.fn_reachable.(bi)
                  && cp.Facts.cp_executable.(bi)
                  && ticks_touching b.Cfg.bb_start
                       (b.Cfg.bb_start + b.Cfg.bb_len)
@@ -696,14 +691,12 @@ let statics_profile_findings (st : statics) (o : Objfile.t) (g : Gmon.t) =
     st.s_cfg.Cfg.cfg_funcs;
   List.rev !acc
 
-let lint ?cfg ?indirect ?statics (o : Objfile.t) (g : Gmon.t) =
+let lint ?statics (o : Objfile.t) (g : Gmon.t) =
   Obs.Trace.with_span ~cat:"analysis" "lint" @@ fun () ->
   match invalid_findings o with
   | Some invalid -> binary_result invalid
   | None ->
-  let statics =
-    match statics with Some s -> s | None -> prepare ?cfg ?indirect o
-  in
+  let statics = match statics with Some s -> s | None -> prepare o in
   let indirect = statics.s_indirect in
   let reach, binary = binary_findings ~statics o in
   let hist = hist_findings o g in

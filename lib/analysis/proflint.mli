@@ -121,28 +121,22 @@ type statics = {
 (** Every static analysis the linter consumes, bundled so N profiles
     against one executable pay for it once. *)
 
-val prepare :
-  ?cfg:Cfg.t -> ?indirect:Indirect.t -> Objcode.Objfile.t -> statics
+val prepare : Objcode.Objfile.t -> statics
+(** Build the CFG, resolve the indirect calls, and run {!Dom},
+    liveness and constant propagation on every non-empty function,
+    each over the function's one [fn_graph]. *)
 
-val lint :
-  ?cfg:Cfg.t ->
-  ?indirect:Indirect.t ->
-  ?statics:statics ->
-  Objcode.Objfile.t ->
-  Gmon.t ->
-  t
-(** Lint one profile against one executable. [statics] (or
-    [cfg]/[indirect]) default to fresh analyses of the executable;
-    pass them to amortize over many profiles. An executable that
+val lint : ?statics:statics -> Objcode.Objfile.t -> Gmon.t -> t
+(** Lint one profile against one executable. [statics] defaults to
+    {!prepare} of the executable; pass it to amortize over many
+    profiles. An executable that
     fails {!Objcode.Objfile.validate} gets only its [binary-invalid]
     and [call-anomaly] findings: no static pass runs on it, and
     [statics] is unused.
     Publishes [analysis.lint.*] counters (including per-rule
     [analysis.lint.fired.*]) to {!Obs.Metrics.default}. *)
 
-val lint_binary :
-  ?cfg:Cfg.t -> ?indirect:Indirect.t -> ?statics:statics ->
-  Objcode.Objfile.t -> t
+val lint_binary : ?statics:statics -> Objcode.Objfile.t -> t
 (** The binary-only rules ([binary-invalid], [call-anomaly],
     [profiled-unreachable], [dead-blocks], and the dataflow rules
     [dead-store]/[dead-param]/[const-branch]/[const-dead-block]/

@@ -8,35 +8,6 @@ type t = {
   r_graph : Graphlib.Digraph.t;
 }
 
-let dead_blocks_of_func (f : Cfg.func) =
-  let n = Array.length f.Cfg.fn_blocks in
-  if n = 0 then []
-  else begin
-    let index_of_start =
-      let tbl = Hashtbl.create n in
-      Array.iteri (fun i b -> Hashtbl.replace tbl b.Cfg.bb_start i) f.fn_blocks;
-      fun start -> Hashtbl.find_opt tbl start
-    in
-    let seen = Array.make n false in
-    let rec visit i =
-      if not seen.(i) then begin
-        seen.(i) <- true;
-        List.iter
-          (fun s -> Option.iter visit (index_of_start s))
-          f.fn_blocks.(i).Cfg.bb_succs
-      end
-    in
-    visit 0;
-    let acc = ref [] in
-    Array.iteri
-      (fun i b ->
-        if not seen.(i) then
-          acc :=
-            (f.fn_symbol.Objfile.name, b.Cfg.bb_start, b.Cfg.bb_len) :: !acc)
-      f.fn_blocks;
-    List.rev !acc
-  end
-
 let analyze ?indirect (cfg : Cfg.t) =
   Obs.Trace.with_span ~cat:"analysis" "reach" @@ fun () ->
   let o = cfg.Cfg.cfg_obj in
@@ -64,7 +35,13 @@ let analyze ?indirect (cfg : Cfg.t) =
       end)
     o.Objfile.symbols;
   let dead_blocks =
-    List.concat_map dead_blocks_of_func (Array.to_list cfg.Cfg.cfg_funcs)
+    List.concat_map
+      (fun (f : Cfg.func) ->
+        List.filteri (fun i _ -> not f.Cfg.fn_reachable.(i))
+          (Array.to_list f.Cfg.fn_blocks)
+        |> List.map (fun (b : Cfg.block) ->
+               (f.Cfg.fn_symbol.Objfile.name, b.Cfg.bb_start, b.Cfg.bb_len)))
+      (Array.to_list cfg.Cfg.cfg_funcs)
   in
   let reg = Obs.Metrics.default in
   Obs.Metrics.incr

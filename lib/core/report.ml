@@ -27,14 +27,18 @@ type t = {
   options : options;
 }
 
+(* a name stands for every routine of that name, so one removal pair
+   removes the arcs between all of them *)
 let resolve_arc_names st arcs =
   let rec go acc = function
-    | [] -> Ok (List.rev acc)
+    | [] -> Ok (List.concat (List.rev acc))
     | (a, b) :: rest -> (
-      match (Symtab.id_of_name st a, Symtab.id_of_name st b) with
-      | Some ia, Some ib -> go ((ia, ib) :: acc) rest
-      | None, _ -> Error (Printf.sprintf "unknown routine %s in arc removal" a)
-      | _, None -> Error (Printf.sprintf "unknown routine %s in arc removal" b))
+      match (Symtab.ids_of_name st a, Symtab.ids_of_name st b) with
+      | [], _ -> Error (Printf.sprintf "unknown routine %s in arc removal" a)
+      | _, [] -> Error (Printf.sprintf "unknown routine %s in arc removal" b)
+      | ias, ibs ->
+        go (List.concat_map (fun ia -> List.map (fun ib -> (ia, ib)) ibs) ias :: acc)
+          rest)
   in
   go [] arcs
 

@@ -14,7 +14,9 @@
 type options = {
   use_static_arcs : bool;
   removed_arcs : (string * string) list;
-      (** arcs (caller, callee) to delete before analysis *)
+      (** arcs (caller, callee) to delete before analysis. Here and in
+          [focus] and [exclude] a name stands for every routine of
+          that name. *)
   auto_break_cycles : int option;
       (** remove up to this many heuristically-chosen cycle arcs *)
   focus : string list;

@@ -1,6 +1,8 @@
 type t = {
   o : Objcode.Objfile.t;
-  by_name : (string, int) Hashtbl.t;
+  by_name : (string, int list) Hashtbl.t;
+      (* every id of a name, ascending: an object may hold routines of
+         equal names *)
   extra : Objcode.Objfile.symbol array;
       (* synthetic symbols appended after the executable's own; they
          have no address range, so pc/entry lookup never returns them *)
@@ -9,21 +11,24 @@ type t = {
 let of_objfile o =
   Obs.Trace.with_span ~cat:"core" "symtab" @@ fun () ->
   let by_name = Hashtbl.create 64 in
-  Array.iteri
-    (fun i (s : Objcode.Objfile.symbol) -> Hashtbl.replace by_name s.name i)
-    o.Objcode.Objfile.symbols;
+  let syms = o.Objcode.Objfile.symbols in
+  for i = Array.length syms - 1 downto 0 do
+    let name = syms.(i).name in
+    Hashtbl.replace by_name name
+      (i :: Option.value (Hashtbl.find_opt by_name name) ~default:[])
+  done;
   { o; by_name; extra = [||] }
 
 let unknown_name = "<unknown>"
 
 let with_unknown t =
   match Hashtbl.find_opt t.by_name unknown_name with
-  | Some id -> (t, id)
-  | None ->
+  | Some (id :: _) -> (t, id)
+  | _ ->
     let n_real = Array.length t.o.Objcode.Objfile.symbols in
     let id = n_real + Array.length t.extra in
     let by_name = Hashtbl.copy t.by_name in
-    Hashtbl.replace by_name unknown_name id;
+    Hashtbl.replace by_name unknown_name [ id ];
     let unknown =
       { Objcode.Objfile.name = unknown_name; addr = max_int; size = 0;
         profiled = false }
@@ -49,14 +54,16 @@ let id_of_pc t pc = Objcode.Objfile.symbol_index t.o pc
 
 let id_of_entry t pc = Objcode.Objfile.func_id_of_addr t.o pc
 
-let id_of_name t n = Hashtbl.find_opt t.by_name n
+let ids_of_name t n = Option.value (Hashtbl.find_opt t.by_name n) ~default:[]
+
+let id_of_name t n = match ids_of_name t n with id :: _ -> Some id | [] -> None
 
 let ids_of_names t names =
   let rec go acc = function
-    | [] -> Ok (List.rev acc)
+    | [] -> Ok (List.concat (List.rev acc))
     | n :: rest -> (
-      match id_of_name t n with
-      | Some id -> go (id :: acc) rest
-      | None -> Error n)
+      match ids_of_name t n with
+      | [] -> Error n
+      | ids -> go (ids :: acc) rest)
   in
   go [] names

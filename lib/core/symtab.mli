@@ -38,7 +38,14 @@ val id_of_pc : t -> int -> int option
 val id_of_entry : t -> int -> int option
 (** Function whose entry address is exactly the given pc. *)
 
+val ids_of_name : t -> string -> int list
+(** Every function of that name, ascending; an object may hold several
+    routines of one name. [[]] for an unknown name. *)
+
 val id_of_name : t -> string -> int option
+(** The first function of that name, as {!Objcode.Objfile.symbol_by_name}
+    finds it. *)
 
 val ids_of_names : t -> string list -> (int list, string) result
-(** All-or-nothing lookup; [Error] names the first unknown function. *)
+(** Every function of each name; all-or-nothing: [Error] names the
+    first unknown name. *)

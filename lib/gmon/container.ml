@@ -12,8 +12,6 @@ module Report = struct
     let path = match e.de_path with Some p -> p ^ ": " | None -> "" in
     Printf.sprintf "%sat byte %d: %s: %s" path e.de_offset e.de_context e.de_msg
 
-  let pp_decode_error ppf e = Format.pp_print_string ppf (decode_error_to_string e)
-
   type checksum_state = [ `Ok | `Missing | `Mismatch ]
 
   type report = {
@@ -23,10 +21,6 @@ module Report = struct
     r_dropped_bytes : int;
     r_notes : string list;
   }
-
-  let lossless_report =
-    { r_checksum = `Ok; r_dropped_buckets = 0; r_dropped_arcs = 0;
-      r_dropped_bytes = 0; r_notes = [] }
 
   let report_degraded r =
     r.r_checksum <> `Ok || r.r_dropped_buckets > 0 || r.r_dropped_arcs > 0

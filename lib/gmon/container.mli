@@ -39,7 +39,6 @@ module Report : sig
   }
 
   val decode_error_to_string : decode_error -> string
-  val pp_decode_error : Format.formatter -> decode_error -> unit
 
   type checksum_state = [ `Ok | `Missing | `Mismatch ]
 
@@ -51,7 +50,6 @@ module Report : sig
     r_notes : string list;
   }
 
-  val lossless_report : report
   val report_degraded : report -> bool
   val report_summary : report -> string
 end

@@ -371,8 +371,6 @@ module Icount = struct
       invalid_arg "Icount.count: address out of range";
     t.counts.(addr)
 
-  let total t = Array.fold_left ( + ) 0 t.counts
-
   let merge a b =
     if a.text_size <> b.text_size then
       Error "cannot merge instruction counts for different binaries"

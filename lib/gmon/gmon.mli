@@ -126,8 +126,6 @@ type decode_error = {
 
 val decode_error_to_string : decode_error -> string
 
-val pp_decode_error : Format.formatter -> decode_error -> unit
-
 type checksum_state = [ `Ok | `Missing | `Mismatch ]
 
 type report = {
@@ -140,8 +138,6 @@ type report = {
 (** What a decode left behind. Salvage losses are also published to
     the default {!Obs.Metrics} registry ([gmon.salvage.*],
     [gmon.checksum_mismatches], [gmon.decode_errors]). *)
-
-val lossless_report : report
 
 val report_degraded : report -> bool
 (** True when anything was dropped, repaired, or unverifiable. *)
@@ -243,8 +239,6 @@ module Icount : sig
 
   val count : t -> int -> int
   (** Count at an address. @raise Invalid_argument when out of range. *)
-
-  val total : t -> int
 
   val merge : t -> t -> (t, string) result
   (** Element-wise sum; [Error] on size mismatch (different binaries). *)

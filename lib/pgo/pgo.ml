@@ -353,13 +353,6 @@ let reorder_fun ~(line_ticks : (int, float) Hashtbl.t) ~obj ~(fn : Cfg.func)
       try
         let chunks, label_pos, start_of = chunks_of fn f.Asm.items in
         let terms = block_terms fn chunks label_pos start_of in
-        let succs j =
-          match terms.(j) with
-          | Tjump t -> [ t ]
-          | Tcond (t, fl) -> [ fl; t ]
-          | Tfall fl -> [ fl ]
-          | Tstop -> []
-        in
         let depth = (Dom.compute fn).Dom.d_depth in
         let better a b =
           block_heat.(a) > block_heat.(b)
@@ -375,7 +368,10 @@ let reorder_fun ~(line_ticks : (int, float) Hashtbl.t) ~obj ~(fn : Cfg.func)
         placed.(0) <- true;
         let order = ref [ 0 ] and count = ref 1 and last = ref 0 in
         while !count < n do
-          let cands = List.filter (fun j -> not placed.(j)) (succs !last) in
+          let cands =
+            List.filter (fun j -> not placed.(j))
+              (Array.to_list fn.Cfg.fn_graph.Analysis.Dataflow.g_succs.(!last))
+          in
           let next =
             match pick cands with
             | Some j -> j

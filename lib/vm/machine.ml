@@ -6,8 +6,6 @@ type config = {
   ticks_per_second : int;
   hist_bucket_size : int;
   keying : Monitor.keying;
-  histogram : bool;
-  monitoring : bool;
   oracle : bool;
   stack_interval : int option;
   stack_capacity : int option;
@@ -27,8 +25,6 @@ let default_config =
     ticks_per_second = 60;
     hist_bucket_size = 1;
     keying = Monitor.Site_primary;
-    histogram = true;
-    monitoring = true;
     oracle = false;
     stack_interval = None;
     stack_capacity = None;
@@ -155,7 +151,6 @@ let create ?(config = default_config) o =
   let profil =
     Profil.create ~lowpc:0 ~highpc:text_size ~bucket_size:config.hist_bucket_size
   in
-  if not config.histogram then Profil.disable profil;
   let frames = Array.make (64 * frame_words) 0 in
   (* The startup stub "calls" main: a frame with a sentinel return
      address, which the monitor will classify as spontaneous. *)
@@ -190,7 +185,7 @@ let create ?(config = default_config) o =
       n_ticks = 0;
       profil;
       monitor = Monitor.create ~text_size ~keying:config.keying;
-      monitoring = config.monitoring;
+      monitoring = true;
       mcount_cycles = 0;
       pcounts = Array.make (Array.length o.symbols) 0;
       oracle = (if config.oracle then Some (Oracle.create ()) else None);
@@ -413,16 +408,20 @@ let next_interval m =
   end
 
 (* Fire any clock ticks the last instruction completed. [at_pc] is the
-   address of the instruction during which the tick landed. *)
+   address of the instruction during which the tick landed. A stack
+   walk's cost moves the clock on: a tick that falls due while a walk
+   is being charged is counted and samples the histogram, but starts
+   no walk of its own, so a walk that costs a tick or more cannot keep
+   the clock from catching up. *)
 let service_ticks m ~at_pc =
+  let ended = m.cycles in
   while m.cycles >= m.next_tick do
     m.n_ticks <- m.n_ticks + 1;
     Profil.sample m.profil ~pc:at_pc;
     (match m.sampler with
-    | Some s ->
-      let cost = Stacksamp.on_tick s ~stack:(call_stack m) in
-      m.cycles <- m.cycles + cost
-    | None -> ());
+    | Some s when m.next_tick <= ended ->
+      m.cycles <- m.cycles + Stacksamp.on_tick s ~stack:(call_stack m)
+    | _ -> ());
     (match m.epochs with
     | Some es when m.n_ticks mod es.ep_every = 0 -> epoch_boundary m es
     | _ -> ());

@@ -26,11 +26,11 @@ type config = {
           clock over a 1 MHz machine *)
   hist_bucket_size : int;  (** histogram granularity; 1 = one-to-one *)
   keying : Monitor.keying;
-  histogram : bool;  (** PC histogram enabled at start *)
-  monitoring : bool;  (** arc recording enabled at start *)
   oracle : bool;  (** exact-timing ground truth (no cycle cost) *)
   stack_interval : int option;
-      (** sample complete call stacks every k ticks *)
+      (** sample complete call stacks every k ticks; a tick that falls
+          due while a walk's cost is being charged is not offered to
+          the sampler *)
   stack_capacity : int option;
       (** distinct-stack bound for the interning sample buffer;
           [None] = the sampler's default (4096) *)
@@ -67,8 +67,8 @@ type config = {
 
 val default_config : config
 (** 16666 cycles/tick, 60 ticks/s, bucket size 1, [Site_primary],
-    histogram, monitoring, and metrics on, no oracle, no stack
-    sampling, no jitter, seed 1, max_cycles [None], depth 100000. *)
+    metrics on, no oracle, no stack sampling, no jitter, seed 1,
+    max_cycles [None], depth 100000. *)
 
 type fault = { fault_pc : int; reason : string }
 
@@ -183,6 +183,9 @@ val sprof : t -> Gmon.Sprof.t option
 val profiling_on : t -> unit
 
 val profiling_off : t -> unit
+(** Stop the histogram and the arc recording; a run starts with both
+    on, and [profiling_off] right after {!create} starts it with
+    profiling off. *)
 
 val reset_profile : t -> unit
 (** Zero the histogram, the arc table, and the per-function

@@ -78,19 +78,9 @@ let on_tick t ~stack =
     frame_walk_cost * depth
   end
 
-let compare_stack a b =
-  let la = Array.length a and lb = Array.length b in
-  let rec go i =
-    if i >= la || i >= lb then compare la lb
-    else
-      let c = compare a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
-
 let folded t =
   Hashtbl.fold (fun _ s acc -> (s.sl_stack, s.sl_count) :: acc) t.tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare_stack a b)
+  |> List.sort (fun (a, _) (b, _) -> Gmon.Sprof.compare_stack a b)
 
 let id_of_stack t stack =
   Option.map (fun s -> s.sl_id) (Hashtbl.find_opt t.tbl stack)

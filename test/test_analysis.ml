@@ -26,6 +26,12 @@ let workload name src =
 (* ------------------------------------------------------------------ *)
 (* Cfg *)
 
+(* Each function's blocks partition its range, and its index graph is
+   what each block's last instruction says: a jump leads to its target
+   block, a conditional to its target and the fall-through block, any
+   other instruction falls through, nothing follows a return or halt;
+   predecessors invert successors, and the reachable set is forward
+   reachability from block 0. *)
 let test_cfg_blocks_partition () =
   List.iter
     (fun w ->
@@ -34,23 +40,47 @@ let test_cfg_blocks_partition () =
       Array.iter
         (fun (f : Analysis.Cfg.func) ->
           let s = f.fn_symbol in
+          let g = f.fn_graph in
+          let n = Array.length f.fn_blocks in
           let covered = Array.make s.size 0 in
-          Array.iter
-            (fun (b : Analysis.Cfg.block) ->
+          let block_at a =
+            match Analysis.Cfg.block_index f a with
+            | Some i when f.fn_blocks.(i).bb_start = a -> i
+            | _ -> Alcotest.failf "%s: %d is no block start" s.name a
+          in
+          Array.iteri
+            (fun i (b : Analysis.Cfg.block) ->
               check_bool "block inside function" true
                 (b.bb_start >= s.addr && b.bb_start + b.bb_len <= s.addr + s.size);
               for a = b.bb_start to b.bb_start + b.bb_len - 1 do
                 covered.(a - s.addr) <- covered.(a - s.addr) + 1
               done;
-              List.iter
-                (fun succ ->
-                  check_bool "successor is a block start in the function" true
-                    (Option.is_some (Analysis.Cfg.block_of_addr f succ)
-                    && (match Analysis.Cfg.block_of_addr f succ with
-                       | Some sb -> sb.bb_start = succ
-                       | None -> false)))
-                b.bb_succs)
+              let last = b.bb_start + b.bb_len - 1 in
+              let fall = if i + 1 < n then [ i + 1 ] else [] in
+              let expected =
+                match o.text.(last) with
+                | Instr.Jump t -> [ block_at t ]
+                | Instr.Jumpz t -> List.sort_uniq compare (block_at t :: fall)
+                | Instr.Ret | Instr.Halt -> []
+                | _ -> fall
+              in
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s block %d successors" s.name i)
+                expected (Array.to_list g.g_succs.(i));
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s block %d predecessors" s.name i)
+                (List.filter (fun p -> Array.mem i g.g_succs.(p)) (List.init n Fun.id))
+                (Array.to_list g.g_preds.(i)))
             f.fn_blocks;
+          let seen = Array.make n false in
+          let rec visit i =
+            if not seen.(i) then begin
+              seen.(i) <- true;
+              Array.iter visit g.g_succs.(i)
+            end
+          in
+          visit 0;
+          Alcotest.(check (array bool)) (s.name ^ " reachable") seen f.fn_reachable;
           Array.iteri
             (fun off n ->
               check_int (Printf.sprintf "%s+%d covered once" s.name off) 1 n)

@@ -1272,6 +1272,26 @@ let test_clock_options_positive () =
         (contains ~needle:("option '" ^ opt ^ "'") (stderr_text ())))
     [ "--hz"; "--cycles-per-tick"; "--bucket-size"; "--epoch-ticks"; "--sample-ticks" ]
 
+(* A stack walk costs 2 cycles per frame, so on a clock of one cycle
+   per tick with a walk on every tick each walk outlasts a tick. The
+   ticks that fall due inside a walk start no walk of their own: the
+   run halts, with one tick per simulated cycle. [timeout] turns the
+   endless tick loop this once was into a failure. *)
+let test_fine_clock_stack_walks () =
+  let obj = path "fineclock.obj" and metrics = path "fineclock.json" in
+  ignore (run_cmd [ exe "minic"; "fixtures/smoke.mini"; "--pg"; "-o"; obj ]);
+  let code, _ =
+    run_cmd
+      [ "timeout"; "-s"; "KILL"; "10"; exe "minirun"; obj; "-q"; "--gmon";
+        path "fineclock.gmon"; "--sample-out"; path "fineclock.sprof";
+        "--obs-metrics"; metrics; "--cycles-per-tick=1"; "--sample-ticks=1" ]
+  in
+  check_int "halts within the timeout" 0 code;
+  let v = parse_json "metrics" (In_channel.with_open_text metrics In_channel.input_all) in
+  let gauge name = field Obs.Jsonin.to_int v [ "gauges"; name ] in
+  check_int "one tick per cycle" (gauge "vm.cycles") (gauge "vm.ticks");
+  check_bool "stacks sampled" true (gauge "vm.sample.taken" > 0)
+
 let test_bad_inputs_fail_cleanly () =
   let code, _ = run_cmd [ exe "minic"; path "nonexistent.mini" ] in
   check_bool "minic rejects missing file" true (code <> 0);
@@ -1388,6 +1408,7 @@ let () =
           Alcotest.test_case "proftop telemetry" `Slow test_proftop_cli;
           Alcotest.test_case "bad inputs" `Slow test_bad_inputs_fail_cleanly;
           Alcotest.test_case "clock options positive" `Slow test_clock_options_positive;
+          Alcotest.test_case "fine clock stack walks" `Slow test_fine_clock_stack_walks;
           Alcotest.test_case "crafted objects" `Slow test_crafted_objects_refused;
         ] );
     ]

@@ -608,6 +608,76 @@ let test_report_exclude () =
   | Error e -> check_bool "unknown name reported" true (contains ~needle:"nope" e)
   | Ok _ -> Alcotest.fail "unknown exclude accepted"
 
+(* Two routines named [f], which Objfile.validate accepts: main calls
+   each once. A name given to --exclude, --focus or --remove-arc
+   stands for both. *)
+let test_report_duplicate_names () =
+  let open Objcode.Instr in
+  let o =
+    {
+      Objcode.Objfile.text =
+        [| Mcount; Enter 0; Const 1; Ret;
+           Mcount; Enter 0; Const 2; Ret;
+           Mcount; Enter 0; Call (0, 0); Pop; Call (4, 0); Pop; Const 0; Ret |];
+      symbols =
+        [|
+          { Objcode.Objfile.name = "f"; addr = 0; size = 4; profiled = true };
+          { Objcode.Objfile.name = "f"; addr = 4; size = 4; profiled = true };
+          { Objcode.Objfile.name = "main"; addr = 8; size = 8; profiled = true };
+        |];
+      entry = 8;
+      globals = [||];
+      global_init = [||];
+      arrays = [||];
+      lines = [||];
+      source_name = "twof";
+    }
+  in
+  Alcotest.(check (result unit (list string))) "validates" (Ok ())
+    (Objcode.Objfile.validate o);
+  let hist = Gmon.make_hist ~lowpc:0 ~highpc:16 ~bucket_size:1 in
+  let counts = Array.copy hist.h_counts in
+  counts.(1) <- 2;
+  counts.(5) <- 3;
+  counts.(9) <- 1;
+  let g =
+    {
+      Gmon.hist = { hist with h_counts = counts };
+      arcs =
+        [ { Gmon.a_from = -1; a_self = 8; a_count = 1 };
+          { Gmon.a_from = 10; a_self = 0; a_count = 1 };
+          { Gmon.a_from = 12; a_self = 4; a_count = 1 } ];
+      ticks_per_second = 60;
+      cycles_per_tick = 16_666;
+      runs = 1;
+    }
+  in
+  let st = Symtab.of_objfile o in
+  Alcotest.(check (list int)) "both ids of f" [ 0; 1 ] (Symtab.ids_of_name st "f");
+  Alcotest.(check (option int)) "the first f, as symbol_by_name" (Some 0)
+    (Symtab.id_of_name st "f");
+  let analyze options =
+    match Report.analyze ~options o g with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "analyze: %s" e
+  in
+  let listed r =
+    Array.to_list r.Report.profile.order
+    |> List.filter_map (function Profile.Func id -> Some id | _ -> None)
+    |> List.sort compare
+  in
+  Alcotest.(check (list int)) "--exclude f drops both" [ 2 ]
+    (listed (analyze { Report.default_options with exclude = [ "f" ] }));
+  Alcotest.(check (list int)) "--focus f keeps both" [ 0; 1; 2 ]
+    (listed (analyze { Report.default_options with focus = [ "f" ] }));
+  let r = analyze { Report.default_options with removed_arcs = [ ("main", "f") ] } in
+  Alcotest.(check (list (pair int int))) "--remove-arc main:f removes both"
+    [ (2, 0); (2, 1) ] r.removed;
+  Array.iteri
+    (fun id (e : Profile.entry) ->
+      if id < 2 then check_int "no calls left into f" 0 e.e_calls)
+    r.profile.entries
+
 let test_report_min_percent () =
   let full = fig4_profile () in
   let p =
@@ -955,6 +1025,7 @@ let () =
           Alcotest.test_case "foreign gmon rejected" `Quick
             test_report_rejects_foreign_gmon;
           Alcotest.test_case "exclude" `Quick test_report_exclude;
+          Alcotest.test_case "duplicate names" `Quick test_report_duplicate_names;
           Alcotest.test_case "min percent" `Quick test_report_min_percent;
           Alcotest.test_case "unknown names" `Quick test_report_unknown_names;
           Alcotest.test_case "arc removal" `Quick test_report_arc_removal_breaks_cycle;

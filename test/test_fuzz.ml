@@ -442,8 +442,8 @@ let check_parity drive config o =
    cycle cap, keying, bucket size, metrics and oracle on or off. A
    clock of 1 or 7 cycles per tick, or run_cycles slices under 50
    cycles, put a horizon on nearly every instruction; those runs keep
-   the 40,000-cycle cap, and the fine clocks sample no stacks, whose
-   walk would cost more than a tick and never let the clock catch up. *)
+   the 40,000-cycle cap. On those clocks a stack walk outlasts a tick,
+   and the ticks due inside it start no walk of their own. *)
 let config_gen =
   QCheck.Gen.(
     let* cycles_per_tick = oneofl [ 1; 7; 97; 1_000; 16_666 ] in
@@ -452,8 +452,7 @@ let config_gen =
     let* count_instructions = bool in
     let* metrics = bool in
     let* oracle = bool in
-    let fine_clock = cycles_per_tick < 97 in
-    let* stack_interval = if fine_clock then return None else opt (int_range 1 3) in
+    let* stack_interval = opt (int_range 1 3) in
     let* tick_jitter = oneofl [ 0.0; 0.3 ] in
     let* seed = int_range 1 1_000 in
     let* max_depth = oneofl [ 2; 4; 100_000 ] in
@@ -464,7 +463,9 @@ let config_gen =
         [ (2, return Run); (1, map (fun n -> Slices n) (int_range 1 49));
           (2, map (fun n -> Slices n) (int_range 50 20_000)); (1, return Steps) ]
     in
-    let fine = fine_clock || (match drive with Slices n -> n < 50 | _ -> false) in
+    let fine =
+      cycles_per_tick < 97 || (match drive with Slices n -> n < 50 | _ -> false)
+    in
     let* max_cycles =
       if fine then return (Some 40_000) else oneofl [ Some 3_000_000; Some 40_000 ]
     in

@@ -679,6 +679,44 @@ let test_stack_samples_from_machine () =
   Alcotest.(check (result unit (list string))) "sprof validates" (Ok ())
     (Gmon.Sprof.validate sp)
 
+(* A clock of one cycle per tick samples the stack on every tick, and
+   every walk (2 cycles per frame) costs more than a tick: the ticks
+   that fall due inside a walk are counted and sampled into the
+   histogram but start no walk, so the run halts with one tick per
+   cycle. *)
+let test_stack_walks_dearer_than_a_tick () =
+  let o =
+    compile_src
+      {|
+fun leaf(x) { return x + 1; }
+fun mid(x) { return leaf(x) * 2; }
+fun main() {
+  var i;
+  var s = 0;
+  for (i = 0; i < 50; i = i + 1) { s = s + mid(i); }
+  print(s);
+  return 0;
+}
+|}
+  in
+  let m =
+    Vm.Machine.create
+      ~config:
+        { Vm.Machine.default_config with cycles_per_tick = 1; stack_interval = Some 1 }
+      o
+  in
+  check_bool "halts" true (Vm.Machine.run m = Vm.Machine.Halted);
+  check_int "ticks = cycles" (Vm.Machine.cycles m) (Vm.Machine.ticks m);
+  check_int "histogram holds every tick" (Vm.Machine.ticks m)
+    (Gmon.total_ticks (Vm.Machine.profile m));
+  let walks = Vm.Stacksamp.n_samples (Option.get (Vm.Machine.sampler m)) in
+  check_bool "some ticks walked the stack, not all" true
+    (walks > 0 && walks < Vm.Machine.ticks m);
+  let plain = Vm.Machine.create o in
+  ignore (Vm.Machine.run plain);
+  Alcotest.(check string) "same output as at the stock clock"
+    (Vm.Machine.output plain) (Vm.Machine.output m)
+
 let test_jitter_determinism_and_effect () =
   let o = compile_src looping_src in
   let run seed jitter =
@@ -820,6 +858,8 @@ let () =
           Alcotest.test_case "mcount overhead charged" `Quick
             test_mcount_overhead_charged;
           Alcotest.test_case "stack samples" `Quick test_stack_samples_from_machine;
+          Alcotest.test_case "stack walks dearer than a tick" `Quick
+            test_stack_walks_dearer_than_a_tick;
           Alcotest.test_case "jitter" `Quick test_jitter_determinism_and_effect;
           Alcotest.test_case "oracle totals" `Quick test_oracle_matches_machine_totals;
         ] );
