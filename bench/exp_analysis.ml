@@ -31,24 +31,40 @@ let best_of f =
 
 (* A Mini program of [n] routines in which every sixth is never
    called: [main] calls each of the others four times, and each runs a
-   short loop, so the histogram ticks across the whole text. *)
-let generated n : Workloads.Programs.t =
-  let b = Buffer.create (n * 128) in
+   short loop, so the histogram ticks across the whole text. Its
+   [table] twin also has a funref table of the last 8 routines, which
+   [main] fills last: every other routine takes a function value from
+   [pick], whose return it is, and calls it through a [calli] site. *)
+let generated ?(table = false) n : Workloads.Programs.t =
+  let b = Buffer.create (n * 160) in
   Buffer.add_string b "var sink;\n\n";
+  if table then
+    Buffer.add_string b "array table[8];\n\nfun pick(k) {\n  return table[k % 8];\n}\n\n";
   for i = 0 to n - 1 do
+    let calls = table && i < n - 8 in
     Printf.bprintf b
-      "fun f%d(x) {\n  var s;\n  var j;\n  s = x;\n  for (j = 0; j < 6; j = j + 1) { s = (s * %d + j) %% 1009; }\n  return s;\n}\n\n"
-      i (3 + (i mod 7))
+      "fun f%d(x) {\n  var s;\n  var j;\n%s  s = x;\n  for (j = 0; j < 6; j = j + 1) { s = (s * %d + j) %% 1009; }\n%s  return s;\n}\n\n"
+      i
+      (if calls then "  var h = pick(x + " ^ string_of_int i ^ ");\n" else "")
+      (3 + (i mod 7))
+      (if calls then "  s = h(s) % 1009;\n" else "")
   done;
-  Buffer.add_string b "fun main() {\n  var i;\n  for (i = 0; i < 4; i = i + 1) {\n";
+  Buffer.add_string b "fun main() {\n  var i;\n";
+  if table then
+    for k = 0 to 7 do
+      Printf.bprintf b "  table[%d] = f%d;\n" k (n - 8 + k)
+    done;
+  Buffer.add_string b "  for (i = 0; i < 4; i = i + 1) {\n";
   for i = 0 to n - 1 do
     if i mod 6 <> 5 then Printf.bprintf b "    sink = sink + f%d(i);\n" i
   done;
   Buffer.add_string b "  }\n  print(sink);\n  return 0;\n}\n";
   {
-    w_name = Printf.sprintf "generated-%d" n;
+    w_name = Printf.sprintf "generated-%d%s" n (if table then "-table" else "");
     w_source = Buffer.contents b;
-    w_about = "generated: a sixth of the routines never called";
+    w_about =
+      (if table then "generated: a funref table and a calli site in most routines"
+       else "generated: a sixth of the routines never called");
   }
 
 let t_analysis () =
@@ -111,10 +127,10 @@ let t_analysis () =
      unreachable, time the profile side of the lint (its statics
      prepared once, outside the timing) and lint_pgo pairing each
      program with itself. *)
-  let programs =
+  let programs ?table () =
     List.map
       (fun n ->
-        let r = run_workload (generated n) in
+        let r = run_workload (generated ?table n) in
         let o = r.objfile in
         let statics = Analysis.Proflint.prepare o in
         let unreachable =
@@ -125,13 +141,14 @@ let t_analysis () =
         (n, r, statics, unreachable))
       [ 50; 1600 ]
   in
+  let plain = programs () in
   let text (_, (r : Workloads.Driver.run), _, _) =
     Array.length r.objfile.Objcode.Objfile.text
   in
   (* best of 9 per program; a sweep can land on a steal window on a
      shared box, so while the ratio is over [bound], re-time up to 3
      more times, keeping each row's best *)
-  let per_instruction ~bound f =
+  let per_instruction ?(programs = plain) ~bound f =
     let rows = List.map (fun p -> (p, ref (best_of (fun () -> f p)))) programs in
     let per (p, t) = !t /. float_of_int (text p) in
     let ratio () =
@@ -184,6 +201,29 @@ let t_analysis () =
         (per row *. 1e9))
     rows;
   report "lint_pgo" ~bound pgo;
+
+  (* The plain programs hold no funref and no calli, so a worklist
+     that re-enqueued too much would not show on them. On the twins
+     every calli routine reads [pick]'s return, which grows only once
+     [main] has filled the table: the worklist visits most routines
+     twice, and must stay linear in the program. *)
+  section "Indirect cost per instruction on generated programs with a funref table";
+  let bound = 3.0 in
+  let ((rows, per, _, _) as ind) =
+    per_instruction ~programs:(programs ~table:true ()) ~bound
+      (fun (_, (r : Workloads.Driver.run), _, _) -> Analysis.Indirect.analyze r.objfile)
+  in
+  Printf.printf "  %-22s %6s %8s %6s %10s %8s\n" "program" "text" "routines" "sites"
+    "indirect us" "ns/instr";
+  List.iter
+    (fun ((((n, (r : Workloads.Driver.run), statics, _) as p), t) as row) ->
+      Printf.printf "  %-22s %6d %8d %6d %10.1f %8.0f\n"
+        (Printf.sprintf "generated-%d-table" n) (text p)
+        (Array.length r.objfile.Objcode.Objfile.symbols)
+        (List.length statics.Analysis.Proflint.s_indirect.i_sites)
+        (!t *. 1e6) (per row *. 1e9))
+    rows;
+  report "Indirect" ~bound ind;
 
   section "indirect-arc recall (the 'functional parameter' blind spot)";
   let r = run_workload Workloads.Programs.indirect in

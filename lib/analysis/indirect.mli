@@ -9,6 +9,17 @@
     attributes to every [Calli] site the set of function entries that
     can reach it.
 
+    {b The fixpoint} is a worklist over routines. A value is [Top]
+    (unknown origin) or a bitset over the address-taken list, of as
+    many words as the list needs, so joins need no sorting. Each
+    routine keeps dense local cells up to the highest slot it loads.
+    The first visit of each routine is a full pass; after it, a
+    routine is visited again only when a cell it reads grows: one of
+    its own slots, a global or array it loads, or the return value of
+    a routine it can call. Each [Calli] site is read on its routine's
+    last visit. The operand stack is modelled as a known top prefix,
+    abandoned at each jump target inside the routine.
+
     {b Soundness contract}: the resolution is a sound
     {e over-approximation} under one documented assumption — function
     values originate from [Funref] instructions and flow only through
@@ -43,8 +54,9 @@ type t = {
 }
 
 val analyze : Objcode.Objfile.t -> t
-(** Run the fixpoint. Publishes [analysis.indirect.*] counters
-    (sites, resolved, unresolved, arcs) to {!Obs.Metrics.default}. *)
+(** Run the fixpoint on an image {!Objcode.Objfile.validate} accepts.
+    Publishes [analysis.indirect.*] counters (sites, resolved,
+    unresolved, arcs) to {!Obs.Metrics.default}. *)
 
 val resolution : t -> site:int -> resolution option
 

@@ -47,16 +47,31 @@ let add_listing ~verbose buf (p : Profile.t) =
     (fun (id, self, cum, calls) ->
       let pct = if total > 0.0 then 100.0 *. self /. total else 0.0 in
       let e = p.entries.(id) in
-      Printf.bprintf buf "%5.1f %13.2f %8.2f %10d " pct cum self calls;
-      if calls > 0 then Printf.bprintf buf "%8.2f " (1000.0 *. self /. float_of_int calls)
+      Numfmt.add_fixed buf ~width:5 ~prec:1 pct;
+      Buffer.add_char buf ' ';
+      Numfmt.add_fixed buf ~width:13 ~prec:2 cum;
+      Buffer.add_char buf ' ';
+      Numfmt.add_fixed buf ~width:8 ~prec:2 self;
+      Buffer.add_char buf ' ';
+      Numfmt.add_int buf ~width:10 calls;
+      Buffer.add_char buf ' ';
+      if calls > 0 then begin
+        Numfmt.add_fixed buf ~width:8 ~prec:2 (1000.0 *. self /. float_of_int calls);
+        Buffer.add_char buf ' '
+      end
       else Buffer.add_string buf "         ";
-      if calls > 0 && e.e_cycle = 0 then
-        Printf.bprintf buf "%8.2f  "
-          (1000.0 *. (e.e_self +. e.e_child) /. float_of_int calls)
+      if calls > 0 && e.e_cycle = 0 then begin
+        Numfmt.add_fixed buf ~width:8 ~prec:2
+          (1000.0 *. (e.e_self +. e.e_child) /. float_of_int calls);
+        Buffer.add_string buf "  "
+      end
       else Buffer.add_string buf "          ";
       Buffer.add_string buf (Profile.name_with_cycle p id);
       (match Profile.display_index p (Profile.Func id) with
-      | Some i -> Printf.bprintf buf " [%d]" i
+      | Some i ->
+        Buffer.add_string buf " [";
+        Numfmt.add_int buf ~width:0 i;
+        Buffer.add_char buf ']'
       | None -> ());
       Buffer.add_char buf '\n')
     (rows p);
@@ -67,7 +82,12 @@ let add_listing ~verbose buf (p : Profile.t) =
   | [] -> ()
   | ids ->
     Buffer.add_string buf "\nroutines never called during this execution:\n";
-    List.iter (fun id -> Printf.bprintf buf "    %s\n" (Symtab.name p.symtab id)) ids
+    List.iter
+      (fun id ->
+        Buffer.add_string buf "    ";
+        Buffer.add_string buf (Symtab.name p.symtab id);
+        Buffer.add_char buf '\n')
+      ids
 
 let listing ?(verbose = false) p =
   let buf = Buffer.create 1024 in

@@ -6,14 +6,39 @@ let header =
    index  %time    self  descendants  called+self    name           index\n\
    \                                    called/total      children\n"
 
+(* "[i]", or "[?]" for a party outside the display order; returns
+   its length. *)
+let add_index buf = function
+  | Some i ->
+    Buffer.add_char buf '[';
+    let start = Buffer.length buf in
+    Numfmt.add_int buf ~width:0 i;
+    let digits = Buffer.length buf - start in
+    Buffer.add_char buf ']';
+    digits + 2
+  | None ->
+    Buffer.add_string buf "[?]";
+    3
+
 (* The name of a parent, child or member, then its index, then the
    end of the line. *)
 let add_ref buf p party =
   Buffer.add_string buf (Profile.party_name p party);
   (match Profile.display_index p party with
-  | Some i -> Printf.bprintf buf " [%d]" i
+  | Some i ->
+    Buffer.add_string buf " [";
+    Numfmt.add_int buf ~width:0 i;
+    Buffer.add_char buf ']'
   | None -> ());
   Buffer.add_char buf '\n'
+
+(* "      %7.2f      %7.2f  " *)
+let add_times buf ~self ~child =
+  Buffer.add_string buf "      ";
+  Numfmt.add_fixed buf ~width:7 ~prec:2 self;
+  Buffer.add_string buf "      ";
+  Numfmt.add_fixed buf ~width:7 ~prec:2 child;
+  Buffer.add_string buf "  "
 
 (* A parent or child line: propagated self/descendants, the
    count/total fraction, the counterpart name, its index. *)
@@ -22,23 +47,40 @@ let arc_line buf p (v : Profile.arc_view) =
   | Profile.Spontaneous ->
     Buffer.add_string buf "                                            <spontaneous>\n"
   | other ->
-    if v.av_intra then Printf.bprintf buf "      %20s  %11d     " "" v.av_count
-    else
-      Printf.bprintf buf "      %7.2f      %7.2f  %6d/%-6d   " v.av_self v.av_child
-        v.av_count v.av_total;
+    if v.av_intra then begin
+      Numfmt.add_spaces buf 28;
+      Numfmt.add_int buf ~width:11 v.av_count
+    end
+    else begin
+      add_times buf ~self:v.av_self ~child:v.av_child;
+      Numfmt.add_int buf ~width:6 v.av_count;
+      Buffer.add_char buf '/';
+      Numfmt.add_int_left buf ~width:6 v.av_total
+    end;
+    Buffer.add_string buf (if v.av_intra then "     " else "   ");
     add_ref buf p other
 
 let main_line buf p party ~self ~child ~calls ~self_calls =
-  let idx =
-    match Profile.display_index p party with
-    | Some i -> Printf.sprintf "[%d]" i
-    | None -> "[?]"
-  in
-  Printf.bprintf buf "%-6s %5.1f %7.2f      %7.2f  " idx (Profile.percent_time p party)
-    self child;
-  if self_calls > 0 then Printf.bprintf buf "%5d+%-6d   " calls self_calls
-  else Printf.bprintf buf "%5d         " calls;
-  Printf.bprintf buf "%s %s\n" (Profile.party_name p party) idx
+  let idx = Profile.display_index p party in
+  Numfmt.add_spaces buf (6 - add_index buf idx);
+  Buffer.add_char buf ' ';
+  Numfmt.add_fixed buf ~width:5 ~prec:1 (Profile.percent_time p party);
+  Buffer.add_char buf ' ';
+  Numfmt.add_fixed buf ~width:7 ~prec:2 self;
+  Buffer.add_string buf "      ";
+  Numfmt.add_fixed buf ~width:7 ~prec:2 child;
+  Buffer.add_string buf "  ";
+  Numfmt.add_int buf ~width:5 calls;
+  if self_calls > 0 then begin
+    Buffer.add_char buf '+';
+    Numfmt.add_int_left buf ~width:6 self_calls;
+    Buffer.add_string buf "   "
+  end
+  else Buffer.add_string buf "         ";
+  Buffer.add_string buf (Profile.party_name p party);
+  Buffer.add_char buf ' ';
+  ignore (add_index buf idx);
+  Buffer.add_char buf '\n'
 
 let func_block buf (p : Profile.t) id =
   let e = p.entries.(id) in
@@ -55,8 +97,9 @@ let cycle_block buf (p : Profile.t) no =
   List.iter
     (fun (v : Profile.arc_view) ->
       (* Member lines do show their own self/descendant times. *)
-      Printf.bprintf buf "      %7.2f      %7.2f  %11d     " v.av_self v.av_child
-        v.av_count;
+      add_times buf ~self:v.av_self ~child:v.av_child;
+      Numfmt.add_int buf ~width:11 v.av_count;
+      Buffer.add_string buf "     ";
       add_ref buf p v.av_other)
     c.c_member_views
 

@@ -34,6 +34,8 @@ type cycle_entry = {
 
 type positions = int array
 
+type names = string array
+
 type t = {
   symtab : Symtab.t;
   total_time : float;
@@ -44,6 +46,7 @@ type t = {
   never_called : int list;
   unattributed : float;
   positions : positions;
+  names : names;
 }
 
 (* A party's cell in [positions]: functions by id, then cycles by
@@ -65,13 +68,27 @@ let positions ~n_funcs ~n_cycles order =
     order;
   pos
 
+let cycle_name no = "<cycle " ^ string_of_int no ^ " as a whole>"
+
+(* Each function's name with its cycle, then each cycle's, once per
+   profile rather than once per line that shows it. *)
+let names ~symtab ~entries ~cycles =
+  let n_funcs = Array.length entries in
+  Array.init (n_funcs + Array.length cycles) (fun i ->
+      if i >= n_funcs then cycle_name (i - n_funcs + 1)
+      else
+        let base = Symtab.name symtab i in
+        match entries.(i).e_cycle with
+        | 0 -> base
+        | c -> base ^ " <cycle " ^ string_of_int c ^ ">")
+
 let make ~symtab ~total_time ~seconds_per_tick ~entries ~cycles ~order ~never_called
     ~unattributed =
   let positions =
     positions ~n_funcs:(Array.length entries) ~n_cycles:(Array.length cycles) order
   in
   { symtab; total_time; seconds_per_tick; entries; cycles; order; never_called;
-    unattributed; positions }
+    unattributed; positions; names = names ~symtab ~entries ~cycles }
 
 let restrict t keep =
   let order = Array.of_seq (Seq.filter keep (Array.to_seq t.order)) in
@@ -88,13 +105,15 @@ let display_index t party =
   | s -> ( match t.positions.(s) with 0 -> None | i -> Some i)
 
 let name_with_cycle t id =
-  let e = t.entries.(id) in
-  let base = Symtab.name t.symtab id in
-  if e.e_cycle > 0 then Printf.sprintf "%s <cycle %d>" base e.e_cycle else base
+  if id >= Array.length t.entries then invalid_arg "Profile.name_with_cycle";
+  t.names.(id)
 
 let party_name t = function
   | Func id -> name_with_cycle t id
-  | Cycle no -> Printf.sprintf "<cycle %d as a whole>" no
+  | Cycle no ->
+    if no >= 1 && no <= Array.length t.cycles then
+      t.names.(Array.length t.entries + no - 1)
+    else cycle_name no
   | Spontaneous -> "<spontaneous>"
 
 let total_of t = function

@@ -46,6 +46,9 @@ type positions
 (** Each party's position in the display order; read it with
     {!display_index}. *)
 
+type names
+(** Each function's and cycle's name; read them with {!party_name}. *)
+
 type t = private {
   symtab : Symtab.t;
   total_time : float;  (** seconds; the sum of all self times *)
@@ -56,6 +59,7 @@ type t = private {
   never_called : int list;  (** ids with no calls, no ticks *)
   unattributed : float;  (** seconds outside every routine *)
   positions : positions;  (** computed from [order] with it *)
+  names : names;  (** built once, with [entries] and [cycles] *)
 }
 (** Private, so the display order and its positions are only ever set
     together: by {!make}, and changed only by {!restrict}. *)

@@ -6,7 +6,7 @@ let entries (p : Profile.t) =
   let cycles =
     Array.to_list p.cycles
     |> List.map (fun (c : Profile.cycle_entry) ->
-           ( Printf.sprintf "<cycle %d>" c.c_no,
+           ( "<cycle " ^ string_of_int c.c_no ^ ">",
              Profile.display_index p (Profile.Cycle c.c_no) ))
   in
   List.sort (fun (a, _) (b, _) -> compare a b) (names @ cycles)
@@ -16,9 +16,14 @@ let add_listing buf p =
   Buffer.add_string buf "index by function name:\n\n";
   List.iter
     (fun (name, idx) ->
-      match idx with
-      | Some i -> Printf.bprintf buf "  [%3d] %s\n" i name
-      | None -> Printf.bprintf buf "  [  -] %s\n" name)
+      (match idx with
+      | Some i ->
+        Buffer.add_string buf "  [";
+        Numfmt.add_int buf ~width:3 i;
+        Buffer.add_string buf "] "
+      | None -> Buffer.add_string buf "  [  -] ");
+      Buffer.add_string buf name;
+      Buffer.add_char buf '\n')
     (entries p)
 
 let listing p =

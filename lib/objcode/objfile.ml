@@ -65,6 +65,40 @@ let func_id_of_addr o addr =
   | Some i when o.symbols.(i).addr = addr -> Some i
   | _ -> None
 
+(* Open addressing with linear probing, at most half full; [min_int]
+   marks an empty cell. *)
+type entries = { e_keys : int array; e_ids : int array; e_mask : int }
+
+let entry_hash mask addr = ((addr * 0x9E3779B1) lsr 17) land mask
+
+let entries o =
+  let cap = ref 2 in
+  while !cap < 2 * Array.length o.symbols do cap := 2 * !cap done;
+  let mask = !cap - 1 in
+  let keys = Array.make !cap min_int and ids = Array.make !cap (-1) in
+  Array.iteri
+    (fun i s ->
+      if s.size > 0 then begin
+        let j = ref (entry_hash mask s.addr) in
+        while keys.(!j) <> min_int && keys.(!j) <> s.addr do
+          j := (!j + 1) land mask
+        done;
+        if keys.(!j) = min_int then begin
+          keys.(!j) <- s.addr;
+          ids.(!j) <- i
+        end
+      end)
+    o.symbols;
+  { e_keys = keys; e_ids = ids; e_mask = mask }
+
+let rec probe e addr j =
+  let k = e.e_keys.(j) in
+  if k = addr then e.e_ids.(j)
+  else if k = min_int then -1
+  else probe e addr ((j + 1) land e.e_mask)
+
+let entry_id e addr = probe e addr (entry_hash e.e_mask addr)
+
 let max_locals = 65_535
 
 let location o pc =

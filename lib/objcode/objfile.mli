@@ -53,6 +53,18 @@ val func_id_of_addr : t -> int -> int option
 (** Index of the symbol whose [addr] equals the given address exactly
     (i.e. the address is a function entry point). *)
 
+type entries
+(** The symbol table's entry addresses, each mapped to its symbol id. *)
+
+val entries : t -> entries
+(** Built in one pass over the symbols, for a caller that looks up
+    many call or funref targets. *)
+
+val entry_id : entries -> int -> int
+(** [entry_id (entries o) addr] is [i] when {!func_id_of_addr} gives
+    [Some i] on a symbol table {!validate} accepts, and [-1] when it
+    gives [None]: one hash probe instead of a binary search. *)
+
 val max_locals : int
 (** The largest call arity or [enter] count an image may declare, and
     the bound on local slot numbers (65,535, the JVM's [max_locals]). *)

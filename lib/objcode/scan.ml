@@ -47,24 +47,28 @@ let anomaly_to_string a =
     | Mid_function f -> "mid-" ^ f
     | Outside_table -> "outside the symbol table")
 
+(* Each routine's own range is walked with the caller known, and each
+   callee is one probe of the entry table; a call in a symbol-table gap
+   lies in no range, so it gives no arc. A routine's calls are walked
+   together, so [last] (the caller that last produced an arc into each
+   callee) is all the deduplication needs. *)
 let static_arcs o =
-  let n = Array.length o.Objfile.symbols in
-  let seen = Hashtbl.create 64 in
+  let text = o.Objfile.text and entries = Objfile.entries o in
+  let last = Array.make (Array.length o.Objfile.symbols) (-1) in
   let acc = ref [] in
   Array.iteri
-    (fun pc ins ->
-      match (ins : Instr.t) with
-      | Call (target, _) -> (
-        match (Objfile.symbol_index o pc, Objfile.func_id_of_addr o target) with
-        | Some caller, Some callee ->
-          let key = (caller * n) + callee in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.replace seen key ();
+    (fun caller (s : Objfile.symbol) ->
+      for pc = max 0 s.addr to min (Array.length text) (s.addr + s.size) - 1 do
+        match text.(pc) with
+        | Instr.Call (target, _) ->
+          let callee = Objfile.entry_id entries target in
+          if callee >= 0 && last.(callee) <> caller then begin
+            last.(callee) <- caller;
             acc := (caller, callee) :: !acc
           end
-        | _ -> ())
-      | _ -> ())
-    o.Objfile.text;
+        | _ -> ()
+      done)
+    o.Objfile.symbols;
   List.rev !acc
 
 let referenced_functions o =

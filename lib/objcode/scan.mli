@@ -40,7 +40,9 @@ val anomaly_to_string : anomaly -> string
 val static_arcs : Objfile.t -> (int * int) list
 (** The direct calls as (caller, callee) symbol ids, deduplicated, in
     first-occurrence order: the count-0 arcs of the static call
-    graph. Anomalous calls give none. *)
+    graph. Anomalous calls give none. One walk of each symbol's own
+    range, so on a table {!Objfile.validate} refuses for overlap a
+    call gives an arc from every routine whose range covers it. *)
 
 val referenced_functions : Objfile.t -> string list
 (** Functions whose entry address is taken with [Funref] — potential

@@ -337,37 +337,33 @@ let arc_delta ~prev ~cur =
   in
   go prev cur []
 
-(* The window's delta against the baselines, as an epoch entry ending
-   now. Does not advance the baselines. *)
-let epoch_delta_of m es ~cur_counts ~cur_arcs =
+(* The open window as an epoch entry ending now: the arcs against
+   their baseline, the histogram against [base], which advances to the
+   current counts in the same pass. *)
+let window m es ~base ~cur_arcs =
   {
     Gmon.Epoch.ep_end_cycle = m.cycles;
     ep_end_tick = m.n_ticks;
-    ep_counts = Array.mapi (fun i c -> c - es.ep_base_counts.(i)) cur_counts;
+    ep_counts = Profil.take_delta m.profil ~base;
     ep_arcs = arc_delta ~prev:es.ep_base_arcs ~cur:cur_arcs;
   }
 
-let epoch_delta m es =
-  epoch_delta_of m es
-    ~cur_counts:(Profil.hist m.profil).Gmon.h_counts
-    ~cur_arcs:(Monitor.arcs m.monitor)
-
-(* The boundary runs on the tick path, so the monitor walk and the
-   histogram copy happen exactly once: the same snapshot serves as
-   this window's delta input and the next window's baseline. *)
+(* The boundary runs on the tick path, so the monitor is walked once
+   and the histogram read once: the same walk serves as this window's
+   delta input and the next window's baseline. *)
 let epoch_boundary m es =
-  let cur_counts = (Profil.hist m.profil).Gmon.h_counts in
   let cur_arcs = Monitor.arcs m.monitor in
-  let e = epoch_delta_of m es ~cur_counts ~cur_arcs in
-  es.ep_entries <- e :: es.ep_entries;
-  es.ep_base_counts <- cur_counts;
+  es.ep_entries <- window m es ~base:es.ep_base_counts ~cur_arcs :: es.ep_entries;
   es.ep_base_arcs <- cur_arcs
 
 let epochs m =
   Option.map
     (fun es ->
       let trailing =
-        let e = epoch_delta m es in
+        let e =
+          window m es ~base:(Array.copy es.ep_base_counts)
+            ~cur_arcs:(Monitor.arcs m.monitor)
+        in
         if
           es.ep_entries = []
           || Array.exists (fun c -> c <> 0) e.Gmon.Epoch.ep_counts
@@ -409,19 +405,22 @@ let next_interval m =
 
 (* Fire any clock ticks the last instruction completed. [at_pc] is the
    address of the instruction during which the tick landed. A stack
-   walk's cost moves the clock on: a tick that falls due while a walk
-   is being charged is counted and samples the histogram, but starts
-   no walk of its own, so a walk that costs a tick or more cannot keep
-   the clock from catching up. *)
+   walk's cost moves the clock on. A tick that falls due while a walk
+   is being charged is counted, samples the histogram and is offered
+   to the sampler like any other; if a sample falls due, it records the
+   stack being walked (the program has not moved) but charges no walk
+   of its own, so a walk that costs a tick or more cannot keep the
+   clock from catching up. *)
 let service_ticks m ~at_pc =
   let ended = m.cycles in
   while m.cycles >= m.next_tick do
     m.n_ticks <- m.n_ticks + 1;
     Profil.sample m.profil ~pc:at_pc;
     (match m.sampler with
-    | Some s when m.next_tick <= ended ->
-      m.cycles <- m.cycles + Stacksamp.on_tick s ~stack:(call_stack m)
-    | _ -> ());
+    | Some s ->
+      let walk = Stacksamp.on_tick s ~stack:(call_stack m) in
+      if m.next_tick <= ended then m.cycles <- m.cycles + walk
+    | None -> ());
     (match m.epochs with
     | Some es when m.n_ticks mod es.ep_every = 0 -> epoch_boundary m es
     | _ -> ());

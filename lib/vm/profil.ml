@@ -56,6 +56,15 @@ let observe t reg =
 
 let hist t = { t.shape with h_counts = Array.copy t.counts }
 
+let take_delta t ~base =
+  let d = Array.make (Array.length t.counts) 0 in
+  for i = 0 to Array.length d - 1 do
+    let c = t.counts.(i) in
+    d.(i) <- c - base.(i);
+    base.(i) <- c
+  done;
+  d
+
 let reset t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   Array.fill t.last_pc 0 (Array.length t.last_pc) 0;

@@ -45,4 +45,9 @@ val observe : t -> Obs.Metrics.t -> unit
 val hist : t -> Gmon.hist
 (** Snapshot (the counts array is copied). *)
 
+val take_delta : t -> base:int array -> int array
+(** The counts gained since [base], one cell per bucket; [base] then
+    holds the current counts. One pass, with no snapshot of the
+    histogram. *)
+
 val reset : t -> unit

@@ -365,19 +365,20 @@ let next_interval m =
 
 (* Fire any clock ticks the last instruction completed. [at_pc] is the
    address of the instruction during which the tick landed. A stack
-   walk's cost moves the clock on: a tick that falls due while a walk
-   is being charged is counted and samples the histogram, but starts
-   no walk of its own, so a walk that costs a tick or more cannot keep
-   the clock from catching up. *)
+   walk's cost moves the clock on. A tick that falls due while a walk
+   is being charged is counted, samples the histogram and is offered
+   to the sampler; a sample it takes records the stack being walked
+   but charges no walk, so the clock always catches up. *)
 let service_ticks m ~at_pc =
   let ended = m.cycles in
   while m.cycles >= m.next_tick do
     m.n_ticks <- m.n_ticks + 1;
     Profil.sample m.profil ~pc:at_pc;
     (match m.sampler with
-    | Some s when m.next_tick <= ended ->
-      m.cycles <- m.cycles + Stacksamp.on_tick s ~stack:(call_stack m)
-    | _ -> ());
+    | Some s ->
+      let walk = Stacksamp.on_tick s ~stack:(call_stack m) in
+      if m.next_tick <= ended then m.cycles <- m.cycles + walk
+    | None -> ());
     (match m.epochs with
     | Some es when m.n_ticks mod es.ep_every = 0 -> epoch_boundary m es
     | _ -> ());

@@ -1277,20 +1277,33 @@ let test_clock_options_positive () =
    ticks that fall due inside a walk start no walk of their own: the
    run halts, with one tick per simulated cycle. [timeout] turns the
    endless tick loop this once was into a failure. *)
+(* On clocks finer than a stack walk, every tick is offered to the
+   sampler, so the samples due (taken or skipped) are ticks / interval
+   and the sprof covers the run the gmon histogram does. *)
 let test_fine_clock_stack_walks () =
-  let obj = path "fineclock.obj" and metrics = path "fineclock.json" in
+  let obj = path "fineclock.obj" in
   ignore (run_cmd [ exe "minic"; "fixtures/smoke.mini"; "--pg"; "-o"; obj ]);
-  let code, _ =
-    run_cmd
-      [ "timeout"; "-s"; "KILL"; "10"; exe "minirun"; obj; "-q"; "--gmon";
-        path "fineclock.gmon"; "--sample-out"; path "fineclock.sprof";
-        "--obs-metrics"; metrics; "--cycles-per-tick=1"; "--sample-ticks=1" ]
-  in
-  check_int "halts within the timeout" 0 code;
-  let v = parse_json "metrics" (In_channel.with_open_text metrics In_channel.input_all) in
-  let gauge name = field Obs.Jsonin.to_int v [ "gauges"; name ] in
-  check_int "one tick per cycle" (gauge "vm.cycles") (gauge "vm.ticks");
-  check_bool "stacks sampled" true (gauge "vm.sample.taken" > 0)
+  List.iter
+    (fun (clock, interval) ->
+      let name = Printf.sprintf "fineclock_%d_%d" clock interval in
+      let metrics = path (name ^ ".json") in
+      let code, _ =
+        run_cmd
+          [ "timeout"; "-s"; "KILL"; "10"; exe "minirun"; obj; "-q"; "--gmon";
+            path (name ^ ".gmon"); "--sample-out"; path (name ^ ".sprof");
+            "--obs-metrics"; metrics; Printf.sprintf "--cycles-per-tick=%d" clock;
+            Printf.sprintf "--sample-ticks=%d" interval ]
+      in
+      check_int "halts within the timeout" 0 code;
+      let v =
+        parse_json "metrics" (In_channel.with_open_text metrics In_channel.input_all)
+      in
+      let gauge name = field Obs.Jsonin.to_int v [ "gauges"; name ] in
+      check_int "one tick per clock period" (gauge "vm.cycles" / clock) (gauge "vm.ticks");
+      check_bool "stacks sampled" true (gauge "vm.sample.taken" > 0);
+      check_int "taken + skipped = ticks / interval" (gauge "vm.ticks" / interval)
+        (gauge "vm.sample.taken" + gauge "vm.sample.skipped"))
+    [ (1, 1); (7, 3) ]
 
 let test_bad_inputs_fail_cleanly () =
   let code, _ = run_cmd [ exe "minic"; path "nonexistent.mini" ] in

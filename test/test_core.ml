@@ -869,6 +869,60 @@ let stock_runs =
             match Workloads.Driver.run w with Ok r -> r | Error e -> failwith e)
           Workloads.Programs.all))
 
+(* The listings' formatter against Printf, at every (width, precision)
+   the listings use. *)
+let formats = [ (7, 2); (5, 1); (13, 2); (8, 2) ]
+
+let fixed_agrees x =
+  List.for_all
+    (fun (width, prec) ->
+      let b = Buffer.create 16 in
+      Numfmt.add_fixed b ~width ~prec x;
+      let want = Printf.sprintf "%*.*f" width prec x in
+      Buffer.contents b = want
+      || QCheck.Test.fail_reportf "%h as %%%d.%df: %S, Printf %S" x width prec
+           (Buffer.contents b) want)
+    formats
+
+(* Any bit pattern (negatives, -0.0, subnormals, NaN, infinities,
+   values of 1e9 and more), exact ties k/200 and k/8 ([0.125] prints
+   [0.12]) with their neighbours, near-ties, and plain listing
+   values. *)
+let fixed_input_gen =
+  QCheck.Gen.(
+    let near x = oneofl [ x; Float.pred x; Float.succ x ] in
+    frequency
+      [ (3, map Int64.float_of_bits int64);
+        (2, map (fun k -> float_of_int k /. 200.0) (int_range (-2000) 2_000_000));
+        (2, map (fun k -> float_of_int k /. 8.0) (int_range (-200) 200_000));
+        (1, oneofl [ 1.005; 2.675; 4.995; 99.995; 0.125; 0.375; 1e9; 1e7; 1e8 ] >>= near);
+        (1, oneofl [ 0.0; -0.0; nan; infinity; neg_infinity; 4.9e-324; max_float;
+                     -.Float.min_float; 9_999_999.995; 99_999_999.95 ] >>= near);
+        (3, map (fun x -> x *. 1000.0) (float_bound_inclusive 1.0));
+        (2, map (fun x -> x *. 1e8) (float_bound_inclusive 1.0)) ])
+
+let fixed_matches_printf =
+  QCheck.Test.make ~name:"Numfmt.add_fixed = Printf %*.*f" ~count:20_000
+    (QCheck.make ~print:(Printf.sprintf "%h") fixed_input_gen)
+    fixed_agrees
+
+let int_matches_printf =
+  QCheck.Test.make ~name:"Numfmt.add_int(_left) = Printf %*d and %-*d" ~count:2_000
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(
+         frequency
+           [ (3, int_range (-1000) 1_000_000); (1, int);
+             (1, oneofl [ 0; min_int; max_int; -1; 9; 10; 99_999; 100_000 ]) ]))
+    (fun n ->
+      List.for_all
+        (fun width ->
+          let r = Buffer.create 16 and l = Buffer.create 16 in
+          Numfmt.add_int r ~width n;
+          Numfmt.add_int_left l ~width n;
+          Buffer.contents r = Printf.sprintf "%*d" width n
+          && Buffer.contents l = Printf.sprintf "%-*d" width n)
+        [ 0; 3; 5; 6; 10; 11 ])
+
 let display_index_is_first_position =
   QCheck.Test.make ~name:"display_index is the first position in the display order"
     ~count:150
@@ -1018,6 +1072,8 @@ let () =
           QCheck_alcotest.to_alcotest analyze_order_invariant;
           QCheck_alcotest.to_alcotest merge_analyze_additive;
           QCheck_alcotest.to_alcotest display_index_is_first_position;
+          QCheck_alcotest.to_alcotest fixed_matches_printf;
+          QCheck_alcotest.to_alcotest int_matches_printf;
         ] );
       ( "report",
         [

@@ -798,6 +798,212 @@ let asm_parity =
       | Error e, Ok _ -> QCheck.Test.fail_reportf "refused: %s" e)
 
 (* ------------------------------------------------------------------ *)
+(* Indirect parity: Analysis.Indirect's worklist against Ref_indirect,
+   the three-pass fixpoint it replaced. *)
+
+let indirect_counters () =
+  List.map
+    (fun c ->
+      Option.value ~default:0
+        (Obs.Metrics.find_counter Obs.Metrics.default ("analysis.indirect." ^ c)))
+    [ "sites"; "resolved"; "unresolved"; "arcs" ]
+
+(* The first part of the result, or of the counters each analysis
+   adds, on which the two disagree. *)
+let indirect_difference o =
+  let run analyze =
+    let before = indirect_counters () in
+    let (r : Analysis.Indirect.t) = analyze o in
+    (r, List.map2 ( - ) (indirect_counters ()) before)
+  in
+  let w, wc = run Analysis.Indirect.analyze and r, rc = run Ref_indirect.analyze in
+  List.find_map
+    (fun (what, same) -> if same then None else Some what)
+    [ ("i_sites", w.i_sites = r.i_sites);
+      ("i_address_taken", w.i_address_taken = r.i_address_taken);
+      ("i_arcs", w.i_arcs = r.i_arcs); ("analysis.indirect.* counters", wc = rc) ]
+
+(* A random object with a valid symbol table, one per seed. A strict
+   one passes Objfile.validate: its jumps stay inside their routine
+   (often into its middle) and its call and funref targets are entries.
+   The others also jump into the middle of other routines, call and
+   take the address of non-entries and name globals and arrays out of
+   range. Calli sites pass 0 to 3 arguments, and slots 5 to 9 are
+   seldom loaded, so many arguments land in slots their callee never
+   reads. One object in four starts with a routine that stores the
+   address of each of its 64 to 80 routines into an array, so its
+   value sets need more than one word. *)
+let indirect_input seed =
+  let rand = Random.State.make [| seed |] in
+  let int lo hi = lo + Random.State.int rand (hi - lo + 1) in
+  let coin k = Random.State.int rand k = 0 in
+  let strict = Random.State.bool rand and wide = coin 4 in
+  let n_funcs = if wide then int 64 80 else int 1 12 in
+  let n_globals = int 1 3 and n_arrays = int 1 2 in
+  let sizes =
+    Array.init n_funcs (fun i -> if wide && i = 0 then 3 * n_funcs else int 1 24)
+  in
+  let addrs = Array.make n_funcs 0 and pos = ref 0 in
+  Array.iteri
+    (fun i size ->
+      if coin 4 then pos := !pos + int 1 3;
+      addrs.(i) <- !pos;
+      pos := !pos + size)
+    sizes;
+  let text_len = !pos + int 0 2 in
+  let entry () = addrs.(int 0 (n_funcs - 1)) in
+  let anywhere () = int (-1) text_len in
+  let id n = if strict then int 0 (n - 1) else int (-1) n in
+  let body lo hi : Objcode.Instr.t =
+    let slot () = if coin 10 then int 5 9 else int 0 4 in
+    let jump () = if strict || coin 2 then int lo (hi - 1) else int 0 (text_len - 1) in
+    let target () = if strict || coin 2 then entry () else anywhere () in
+    match int 0 27 with
+    | 0 -> Nop
+    | 1 -> Const (int (-3) 3)
+    | 2 | 3 -> Load (slot ())
+    | 4 | 5 -> Store (slot ())
+    | 6 -> Gload (id n_globals)
+    | 7 -> Gstore (id n_globals)
+    | 8 -> Aload (id n_arrays)
+    | 9 -> Astore (id n_arrays)
+    | 10 -> Alu (if coin 2 then Add else Lt)
+    | 11 -> Unop (if coin 2 then Neg else Not)
+    | 12 -> Jump (jump ())
+    | 13 -> Jumpz (jump ())
+    | 14 | 15 -> Call (target (), int 0 3)
+    | 16 | 17 -> Calli (int 0 3)
+    | 18 | 19 | 20 -> Funref (target ())
+    | 21 -> Enter (int 0 6)
+    | 22 -> Mcount
+    | 23 -> Pcount (int 0 (n_funcs - 1))
+    | 24 -> Ret
+    | 25 -> Pop
+    | 26 ->
+      Syscall
+        (match int 0 3 with
+        | 0 -> Sys_print
+        | 1 -> Sys_putc
+        | 2 -> Sys_rand
+        | _ -> Sys_cycles)
+    | _ -> Halt
+  in
+  let text = Array.make text_len Objcode.Instr.Nop in
+  (* a gap holds no jump, so a strict object stays valid *)
+  let gap () : Objcode.Instr.t =
+    match int 0 2 with
+    | 0 -> Funref (entry ())
+    | 1 -> Calli (int 0 3)
+    | _ -> Call (entry (), 1)
+  in
+  let covered = Array.make text_len false in
+  Array.iteri
+    (fun i a ->
+      for pc = a to a + sizes.(i) - 1 do
+        covered.(pc) <- true;
+        text.(pc) <-
+          (if wide && i = 0 then
+             match (pc - a) mod 3 with
+             | 0 -> Const ((pc - a) / 3)
+             | 1 -> Funref addrs.((pc - a) / 3)
+             | _ -> Astore 0
+           else body a (a + sizes.(i)))
+      done)
+    addrs;
+  Array.iteri (fun pc c -> if not c then text.(pc) <- gap ()) covered;
+  let o =
+    {
+      Objcode.Objfile.text;
+      symbols =
+        Array.mapi
+          (fun i addr ->
+            { Objcode.Objfile.name = Printf.sprintf "f%d" i; addr; size = sizes.(i);
+              profiled = false })
+          addrs;
+      entry = entry ();
+      globals = Array.init n_globals (Printf.sprintf "g%d");
+      global_init = Array.make n_globals 0;
+      arrays = Array.init n_arrays (fun i -> (Printf.sprintf "a%d" i, 4));
+      lines = [||];
+      source_name = "random";
+    }
+  in
+  (strict, o)
+
+let indirect_parity =
+  QCheck.Test.make ~name:"indirect = reference, on random objects" ~count:600
+    (QCheck.make
+       ~print:(fun seed ->
+         Printf.sprintf "seed %d:\n%s" seed
+           (Objcode.Objfile.to_string (snd (indirect_input seed))))
+       QCheck.Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      let strict, o = indirect_input seed in
+      (match (strict, Objcode.Objfile.validate o) with
+      | true, Error es ->
+        QCheck.Test.fail_reportf "strict object refused: %s" (String.concat "; " es)
+      | _ -> ());
+      match indirect_difference o with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "%s differ" what)
+
+(* The generator reaches what the worklist treats specially: every
+   instruction kind, Calli arities 0 to 3, non-entry funrefs, and value
+   sets wider than one word, in both strict and other objects. *)
+let test_indirect_inputs_cover () =
+  let kinds = Hashtbl.create 32 and widest = ref 0 and strict_seen = ref 0 in
+  for seed = 1 to 200 do
+    let strict, o = indirect_input seed in
+    if strict then incr strict_seen;
+    Array.iter
+      (fun (ins : Objcode.Instr.t) ->
+        let kind =
+          match ins with
+          | Calli k -> Printf.sprintf "calli %d" k
+          | Funref t when Objcode.Objfile.func_id_of_addr o t = None -> "funref non-entry"
+          | ins -> List.hd (String.split_on_char ' ' (Objcode.Instr.to_string ins))
+        in
+        Hashtbl.replace kinds kind ())
+      o.Objcode.Objfile.text;
+    widest :=
+      max !widest (List.length (Ref_indirect.analyze o).Analysis.Indirect.i_address_taken)
+  done;
+  List.iter
+    (fun k -> Alcotest.(check bool) k true (Hashtbl.mem kinds k))
+    [ "nop"; "const"; "load"; "store"; "gload"; "gstore"; "aload"; "astore"; "add";
+      "neg"; "jump"; "jumpz"; "call"; "calli 0"; "calli 1"; "calli 2"; "calli 3";
+      "funref"; "funref non-entry"; "enter"; "mcount"; "pcount"; "ret"; "pop";
+      "syscall"; "halt" ];
+  Alcotest.(check bool) "more than 62 address-taken routines" true (!widest > 62);
+  Alcotest.(check bool) "strict and other objects" true
+    (!strict_seen > 0 && !strict_seen < 200)
+
+(* Every fixture and stock workload in every build, and the Figure 4
+   image. *)
+let test_indirect_parity_fixed () =
+  let fixture f =
+    let path = "fixtures/" ^ f in
+    (path, In_channel.with_open_bin path In_channel.input_all)
+  in
+  let sources =
+    List.map fixture
+      [ "smoke.mini"; "smoke_mismatched.mini"; "smoke_slow.mini"; "pgo_matrix.mini" ]
+    @ List.map
+        (fun (w : Workloads.Programs.t) -> (w.w_name, w.w_source))
+        Workloads.Programs.all
+  in
+  let check name o =
+    Option.iter (Alcotest.failf "%s: %s differ" name) (indirect_difference o)
+  in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun (build, options) -> check (name ^ "/" ^ build) (compile_build options src))
+        builds)
+    sources;
+  check "figure4" Workloads.Figure4.objfile
+
+(* ------------------------------------------------------------------ *)
 (* Corrupted executables into the VM *)
 
 let corrupt_instr_gen =
@@ -909,5 +1115,9 @@ let () =
           qt frontend_parity;
           Alcotest.test_case "front end: hand-written cases" `Quick
             test_frontend_hand_cases;
-          qt asm_parity ] );
+          qt asm_parity; qt indirect_parity;
+          Alcotest.test_case "indirect: random objects cover every kind" `Quick
+            test_indirect_inputs_cover;
+          Alcotest.test_case "indirect = reference, on fixtures and workloads" `Quick
+            test_indirect_parity_fixed ] );
     ]

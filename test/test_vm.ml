@@ -684,6 +684,10 @@ let test_stack_samples_from_machine () =
    that fall due inside a walk are counted and sampled into the
    histogram but start no walk, so the run halts with one tick per
    cycle. *)
+(* On a clock finer than a stack walk, every tick is still offered to
+   the sampler: the samples due (taken or skipped) are exactly ticks /
+   interval. A tick inside a walk records the stack being walked and
+   charges nothing, so the clock catches up. *)
 let test_stack_walks_dearer_than_a_tick () =
   let o =
     compile_src
@@ -699,23 +703,40 @@ fun main() {
 }
 |}
   in
-  let m =
-    Vm.Machine.create
-      ~config:
-        { Vm.Machine.default_config with cycles_per_tick = 1; stack_interval = Some 1 }
-      o
-  in
-  check_bool "halts" true (Vm.Machine.run m = Vm.Machine.Halted);
-  check_int "ticks = cycles" (Vm.Machine.cycles m) (Vm.Machine.ticks m);
-  check_int "histogram holds every tick" (Vm.Machine.ticks m)
-    (Gmon.total_ticks (Vm.Machine.profile m));
-  let walks = Vm.Stacksamp.n_samples (Option.get (Vm.Machine.sampler m)) in
-  check_bool "some ticks walked the stack, not all" true
-    (walks > 0 && walks < Vm.Machine.ticks m);
   let plain = Vm.Machine.create o in
   ignore (Vm.Machine.run plain);
-  Alcotest.(check string) "same output as at the stock clock"
-    (Vm.Machine.output plain) (Vm.Machine.output m)
+  let run cycles_per_tick stack_interval =
+    let m =
+      Vm.Machine.create
+        ~config:{ Vm.Machine.default_config with cycles_per_tick; stack_interval }
+        o
+    in
+    check_bool "halts" true (Vm.Machine.run m = Vm.Machine.Halted);
+    Alcotest.(check string) "same output as at the stock clock"
+      (Vm.Machine.output plain) (Vm.Machine.output m);
+    m
+  in
+  List.iter
+    (fun (cycles_per_tick, interval) ->
+      let m = run cycles_per_tick (Some interval) in
+      let what = Printf.sprintf "%d cycles a tick, every %d: " cycles_per_tick interval in
+      let ticks = Vm.Machine.ticks m in
+      check_int (what ^ "ticks = cycles / clock")
+        (Vm.Machine.cycles m / cycles_per_tick) ticks;
+      check_int (what ^ "histogram holds every tick") ticks
+        (Gmon.total_ticks (Vm.Machine.profile m));
+      let s = Option.get (Vm.Machine.sampler m) in
+      check_int (what ^ "taken + skipped = ticks / interval") (ticks / interval)
+        (Vm.Stacksamp.n_samples s + Vm.Stacksamp.n_skipped s))
+    [ (1, 1); (1, 3); (7, 1); (7, 3) ];
+  (* Walks are counted by the cycles they charge, the difference from
+     the same clock without a sampler. A walk charges 2 cycles a frame
+     and main's frame is always there, so had every tick walked, they
+     would charge at least 2 cycles a tick. *)
+  let m = run 1 (Some 1) in
+  let walked = Vm.Machine.cycles m - Vm.Machine.cycles (run 1 None) in
+  check_bool "some ticks walked the stack, not all" true
+    (walked > 0 && walked < 2 * Vm.Machine.ticks m)
 
 let test_jitter_determinism_and_effect () =
   let o = compile_src looping_src in
