@@ -76,18 +76,17 @@ let t_analysis () =
       (fun (w : Workloads.Programs.t) ->
         let r = run_workload w in
         let o = r.objfile in
-        (* the whole analysis is [prepare] (the CFG, Indirect and the
-           per-function passes) plus the lint over its statics; the CFG
-           and Indirect columns break out two parts of [prepare] *)
-        let statics = Analysis.Proflint.prepare o in
+        (* the whole analysis is [prepare] (validation, the CFG,
+           Indirect, the per-function passes, Reach and the binary-only
+           rules) plus the lint of the profile over its statics; the
+           CFG and Indirect columns break out two parts of [prepare] *)
+        let statics = Result.get_ok (Analysis.Proflint.prepare o) in
         let cfg = statics.s_cfg in
         let t_cfg = time_of (fun () -> Analysis.Cfg.build o) in
         let t_ind = time_of (fun () -> Analysis.Indirect.analyze o) in
         let t_prep = time_of (fun () -> Analysis.Proflint.prepare o) in
-        let t_lint =
-          time_of (fun () -> Analysis.Proflint.lint ~statics o r.gmon)
-        in
-        let result = Analysis.Proflint.lint ~statics o r.gmon in
+        let t_lint = time_of (fun () -> Analysis.Proflint.lint statics r.gmon) in
+        let result = Analysis.Proflint.lint statics r.gmon in
         Printf.printf "  %-16s %6d %6d %6d %10.1f %10.1f %10.1f %10.1f\n" w.w_name
           (Array.length o.Objcode.Objfile.text)
           (Analysis.Cfg.n_blocks cfg) (Analysis.Cfg.n_edges cfg) (t_cfg *. 1e6)
@@ -132,12 +131,8 @@ let t_analysis () =
       (fun n ->
         let r = run_workload (generated ?table n) in
         let o = r.objfile in
-        let statics = Analysis.Proflint.prepare o in
-        let unreachable =
-          List.length
-            (Analysis.Reach.analyze ~indirect:statics.s_indirect statics.s_cfg)
-              .r_unreachable
-        in
+        let statics = Result.get_ok (Analysis.Proflint.prepare o) in
+        let unreachable = List.length statics.s_reach.r_unreachable in
         (n, r, statics, unreachable))
       [ 50; 1600 ]
   in
@@ -174,7 +169,7 @@ let t_analysis () =
   let bound = 3.0 in
   let ((rows, per, _, _) as lint) =
     per_instruction ~bound (fun (_, (r : Workloads.Driver.run), statics, _) ->
-        Analysis.Proflint.lint ~statics r.objfile r.gmon)
+        Analysis.Proflint.lint statics r.gmon)
   in
   Printf.printf "  %-16s %6s %8s %11s %8s %10s %8s\n" "program" "text"
     "routines" "unreachable" "buckets" "lint us" "ns/instr";
@@ -206,24 +201,35 @@ let t_analysis () =
      that re-enqueued too much would not show on them. On the twins
      every calli routine reads [pick]'s return, which grows only once
      [main] has filled the table: the worklist visits most routines
-     twice, and must stay linear in the program. *)
-  section "Indirect cost per instruction on generated programs with a funref table";
+     twice, and must stay linear in the program. [prepare] asks
+     Indirect about every call instruction (the arities) and the
+     lint rules about every site, so a site lookup that scanned the
+     site list would make it quadratic on them. *)
+  section "Indirect and prepare cost per instruction on generated programs with a funref table";
+  let twins = programs ~table:true () in
   let bound = 3.0 in
-  let ((rows, per, _, _) as ind) =
-    per_instruction ~programs:(programs ~table:true ()) ~bound
-      (fun (_, (r : Workloads.Driver.run), _, _) -> Analysis.Indirect.analyze r.objfile)
-  in
-  Printf.printf "  %-22s %6s %8s %6s %10s %8s\n" "program" "text" "routines" "sites"
-    "indirect us" "ns/instr";
   List.iter
-    (fun ((((n, (r : Workloads.Driver.run), statics, _) as p), t) as row) ->
-      Printf.printf "  %-22s %6d %8d %6d %10.1f %8.0f\n"
-        (Printf.sprintf "generated-%d-table" n) (text p)
-        (Array.length r.objfile.Objcode.Objfile.symbols)
-        (List.length statics.Analysis.Proflint.s_indirect.i_sites)
-        (!t *. 1e6) (per row *. 1e9))
-    rows;
-  report "Indirect" ~bound ind;
+    (fun (what, f) ->
+      let ((rows, per, _, _) as cost) = per_instruction ~programs:twins ~bound f in
+      Printf.printf "  %-22s %6s %8s %6s %10s %8s\n" "program" "text" "routines"
+        "sites" (what ^ " us") "ns/instr";
+      List.iter
+        (fun ((((n, (r : Workloads.Driver.run), statics, _) as p), t) as row) ->
+          Printf.printf "  %-22s %6d %8d %6d %10.1f %8.0f\n"
+            (Printf.sprintf "generated-%d-table" n) (text p)
+            (Array.length r.objfile.Objcode.Objfile.symbols)
+            (List.length statics.Analysis.Proflint.s_indirect.i_sites)
+            (!t *. 1e6) (per row *. 1e9))
+        rows;
+      report what ~bound cost)
+    [
+      ( "Indirect",
+        fun (_, (r : Workloads.Driver.run), _, _) ->
+          ignore (Analysis.Indirect.analyze r.objfile) );
+      ( "prepare",
+        fun (_, (r : Workloads.Driver.run), _, _) ->
+          ignore (Analysis.Proflint.prepare r.objfile) );
+    ];
 
   section "indirect-arc recall (the 'functional parameter' blind spot)";
   let r = run_workload Workloads.Programs.indirect in

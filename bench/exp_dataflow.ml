@@ -28,7 +28,7 @@ let t_dataflow () =
       (fun (w : Workloads.Programs.t) ->
         let r = run_workload w in
         let o = r.objfile in
-        let statics = Analysis.Proflint.prepare o in
+        let statics = Result.get_ok (Analysis.Proflint.prepare o) in
         let cfg = statics.s_cfg and arities = statics.s_arities in
         let nonempty f = Array.length f.Analysis.Cfg.fn_blocks > 0 in
         let doms () =
@@ -48,7 +48,7 @@ let t_dataflow () =
         let measure () =
           ( time_of doms,
             time_of facts,
-            time_of (fun () -> Analysis.Proflint.lint ~statics o r.gmon) )
+            time_of (fun () -> Analysis.Proflint.lint statics r.gmon) )
         in
         let t_dom, t_facts, t_lint = measure () in
         let nloops =
@@ -66,7 +66,7 @@ let t_dataflow () =
         ( Array.length o.Objcode.Objfile.text,
           ref (t_dom +. t_facts +. t_lint),
           measure,
-          Analysis.Proflint.lint ~statics o r.gmon ))
+          Analysis.Proflint.lint statics r.gmon ))
       Workloads.Programs.all
   in
   expect "every intact workload passes the dataflow-aware lint"
@@ -104,7 +104,8 @@ let t_dataflow () =
 
   section "static cost bounds vs measured self time";
   let r = run_workload Workloads.Programs.sort in
-  let est = Analysis.Cost.static_estimate (Analysis.Cfg.build r.objfile) in
+  let st = Result.get_ok (Analysis.Proflint.prepare r.objfile) in
+  let est = Analysis.Cost.static_estimate ~indirect:st.s_indirect st.s_cfg in
   Array.iter
     (fun (c : Analysis.Cost.fn) ->
       Printf.printf "  %-16s blocks %3d loops %d depth %d  self %8d  total %s\n"

@@ -83,7 +83,10 @@ let t_pgo () =
   section "the optimized binaries still profile cleanly";
   let lints =
     List.map
-      (fun r -> (r, Analysis.Proflint.lint r.obj r.fresh))
+      (fun r ->
+        ( r,
+          Result.fold (Analysis.Proflint.prepare r.obj) ~error:Fun.id
+            ~ok:(fun st -> Analysis.Proflint.lint st r.fresh) ))
       rows
   in
   List.iter

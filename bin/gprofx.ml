@@ -357,16 +357,19 @@ let run obj_path gmon_paths store_dir no_static removed break focus exclude
           if ingest_degraded then degraded_exit () else 0)
       | None ->
       if lint then begin
-        (* the consistency linter replaces the listings entirely *)
-        let result = Analysis.Proflint.lint o gmon in
+        (* the consistency linter replaces the listings entirely; [o]
+           was validated on load *)
+        let statics = Result.get_ok (Analysis.Proflint.prepare o) in
+        let result = Analysis.Proflint.lint statics gmon in
         print_string (Analysis.Proflint.render result);
         let code = Analysis.Proflint.exit_code ~strict:(not lenient) result in
         if code = 0 && ingest_degraded then 2 else code
       end
       else if cost then begin
-        (* static bounds beside the measured columns; replaces the
-           listings like --lint does *)
-        match Gprof_core.Report.analyze ~options o gmon with
+        (* static bounds beside the measured columns, over the report's
+           Indirect resolution; replaces the listings like --lint does *)
+        let indirect = Analysis.Indirect.analyze o in
+        match Gprof_core.Report.analyze ~options ~indirect o gmon with
         | Error e ->
           Printf.eprintf "gprofx: %s\n" e;
           1
@@ -381,7 +384,7 @@ let run obj_path gmon_paths store_dir no_static removed break focus exclude
                   e.Gprof_core.Profile.e_self +. e.Gprof_core.Profile.e_child )
             | _ -> None
           in
-          let est = Analysis.Cost.static_estimate (Analysis.Cfg.build o) in
+          let est = Analysis.Cost.static_estimate ~indirect (Analysis.Cfg.build o) in
           print_string (Analysis.Cost.listing ~measured est);
           let recompute_code =
             match profile_use with
@@ -400,7 +403,9 @@ let run obj_path gmon_paths store_dir no_static removed break focus exclude
                   src_path;
                 print_string
                   (Analysis.Cost.listing
-                     (Analysis.Cost.static_estimate (Analysis.Cfg.build obj')));
+                     (Analysis.Cost.static_estimate
+                        ~indirect:(Analysis.Indirect.analyze obj')
+                        (Analysis.Cfg.build obj')));
                 0)
           in
           if recompute_code <> 0 then recompute_code

@@ -52,19 +52,16 @@ let run src_path out profile count skip inline fold listing dump_static werror
       1
     | Ok (o, pgo) ->
       (* the warnings come from the lint's statics of the generated
-         code, so the compiler flags what proflint would; only the
-         arity check also reads the source *)
-      let statics = Analysis.Proflint.prepare o in
+         code, which [assemble] validated, so the compiler flags what
+         proflint would; the source adds each function's parameter
+         count *)
       let warns =
-        List.map
-          (fun (f : Analysis.Proflint.finding) ->
-            Printf.sprintf "[%s] %s" f.f_rule f.f_msg)
-          (Analysis.Proflint.static_warnings statics)
-        @ Analysis.Proflint.arity_warnings statics
-            ~params:
-              (List.map
-                 (fun (f : Mini.Ast.fundef) -> (f.fname, List.length f.params))
-                 p.funs)
+        Analysis.Proflint.compiler_warnings
+          (Result.get_ok (Analysis.Proflint.prepare o))
+          ~params:
+            (List.map
+               (fun (f : Mini.Ast.fundef) -> (f.fname, List.length f.params))
+               p.funs)
       in
       List.iter (Printf.eprintf "minic: %s: warning: %s\n" src_path) warns;
       if werror && warns <> [] then begin

@@ -51,13 +51,10 @@ let run figure4 obj_path gmon_paths strict json obs_metrics pgo_baseline =
     Printf.eprintf "proflint: %s\n" e;
     1
   | Ok (obj, profiles) ->
-    (* amortize the static analyses over every profile; an image that
-       fails validation gets none, only its binary-invalid findings *)
-    let statics =
-      match Objcode.Objfile.validate obj with
-      | Ok () -> Some (Analysis.Proflint.prepare obj)
-      | Error _ -> None
-    in
+    (* one preparation serves every profile; an invalid image's result
+       is the lint of each *)
+    let prepared = Analysis.Proflint.prepare obj in
+    let lint f = Result.fold prepared ~ok:f ~error:Fun.id in
     let pgo =
       match pgo_baseline with
       | None -> Ok []
@@ -76,10 +73,11 @@ let run figure4 obj_path gmon_paths strict json obs_metrics pgo_baseline =
       pgo
       @
       match profiles with
-      | [] -> [ ("binary", Analysis.Proflint.lint_binary ?statics obj) ]
+      | [] -> [ ("binary", lint Analysis.Proflint.lint_binary) ]
       | ps ->
         List.map
-          (fun (name, g) -> (name, Analysis.Proflint.lint ?statics obj g))
+          (fun (name, g) ->
+            (name, lint (fun st -> Analysis.Proflint.lint st g)))
           ps
     in
     (if json then

@@ -27,9 +27,8 @@ let sat_mul a b = if a = 0 || b = 0 then 0 else if a > cap / b then cap else a *
 (* the assumed iterations per loop level *)
 let loop_weight = 8
 
-let static_estimate ?indirect (cfg : Cfg.t) =
+let static_estimate ~indirect (cfg : Cfg.t) =
   let o = cfg.Cfg.cfg_obj in
-  let indirect = match indirect with Some i -> i | None -> Indirect.analyze o in
   let nfuncs = Array.length cfg.Cfg.cfg_funcs in
   (* per function: dom info, weighted self cost, weighted call sites *)
   let shapes =

@@ -29,9 +29,8 @@ type fn = {
 
 type t = { c_funcs : fn array; c_loop_weight : int }
 
-val static_estimate : ?indirect:Indirect.t -> Cfg.t -> t
-(** [c_loop_weight] is 8, the assumed iterations per loop level.
-    [indirect] defaults to a fresh {!Indirect.analyze}. *)
+val static_estimate : indirect:Indirect.t -> Cfg.t -> t
+(** [c_loop_weight] is 8, the assumed iterations per loop level. *)
 
 val listing : ?measured:(string -> (float * float) option) -> t -> string
 (** A table of the estimate, descending by self bound. [measured]

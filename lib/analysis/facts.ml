@@ -5,9 +5,8 @@ module Bits = Dataflow.Bits
 (* ------------------------------------------------------------------ *)
 (* Arity reconstruction *)
 
-let arities ?indirect (cfg : Cfg.t) =
+let arities ~indirect (cfg : Cfg.t) =
   let o = cfg.Cfg.cfg_obj in
-  let indirect = match indirect with Some i -> i | None -> Indirect.analyze o in
   let n = Array.length o.Objfile.symbols in
   (* None = unseen; Some (Some k) = consistent arity k; Some None =
      conflicting call sites *)

@@ -17,7 +17,7 @@
     and popping past the known prefix yields "unknown" — imprecise,
     never unsound. *)
 
-val arities : ?indirect:Indirect.t -> Cfg.t -> int option array
+val arities : indirect:Indirect.t -> Cfg.t -> int option array
 (** Per function id: the argument count, when every call site that can
     reach the function (direct calls and resolved indirect sites)
     agrees on it; the entry function takes no arguments by the Mini

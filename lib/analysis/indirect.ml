@@ -5,6 +5,7 @@ type resolution = Resolved of int list | Unresolved
 
 type t = {
   i_sites : (int * resolution) list;
+  i_by_pc : (int, resolution) Hashtbl.t;
   i_address_taken : int list;
   i_arcs : (int * int) list;
 }
@@ -392,11 +393,12 @@ let analyze (o : Objfile.t) =
     (Obs.Metrics.counter reg "analysis.indirect.arcs");
   {
     i_sites = sites;
+    i_by_pc = Hashtbl.of_seq (List.to_seq sites);
     i_address_taken = Array.to_list at_addr;
     i_arcs = arcs;
   }
 
-let resolution t ~site = List.assoc_opt site t.i_sites
+let resolution t ~site = Hashtbl.find_opt t.i_by_pc site
 
 let targets t ~site =
   match resolution t ~site with

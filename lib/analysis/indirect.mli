@@ -42,6 +42,8 @@ type resolution =
 type t = {
   i_sites : (int * resolution) list;
       (** every [Calli] site, ascending by address *)
+  i_by_pc : (int, resolution) Hashtbl.t;
+      (** [i_sites] keyed by address, for {!resolution} *)
   i_address_taken : int list;
       (** entry addresses of functions whose address is taken with
           [Funref], ascending *)

@@ -105,44 +105,18 @@ let publish fs =
     fs
 
 (* ------------------------------------------------------------------ *)
-(* Amortized static analyses: one bundle shared by every profile
-   linted against the same executable *)
+(* A binary's statics: its static analyses and its binary-only
+   findings, built once and read by every lint of that binary *)
 
 type statics = {
   s_cfg : Cfg.t;
   s_indirect : Indirect.t;
   s_arities : int option array;
   s_doms : Dom.t option array;
-  s_live : Facts.live option array;
   s_cp : Facts.cp option array;
+  s_reach : Reach.t;
+  s_binary : finding list;
 }
-
-let prepare (o : Objfile.t) =
-  Obs.Trace.with_span ~cat:"analysis" "lint-prepare" @@ fun () ->
-  let cfg = Cfg.build o in
-  let indirect = Indirect.analyze o in
-  let arities = Facts.arities ~indirect cfg in
-  let n = Array.length cfg.Cfg.cfg_funcs in
-  let doms = Array.make n None in
-  let live = Array.make n None in
-  let cp = Array.make n None in
-  Array.iteri
-    (fun i (f : Cfg.func) ->
-      if Array.length f.Cfg.fn_blocks > 0 then begin
-        doms.(i) <- Some (Dom.compute f);
-        let nslots = Option.value arities.(i) ~default:0 in
-        live.(i) <- Some (Facts.liveness ~nslots o f);
-        cp.(i) <- Some (Facts.constprop ?arity:arities.(i) o f)
-      end)
-    cfg.Cfg.cfg_funcs;
-  {
-    s_cfg = cfg;
-    s_indirect = indirect;
-    s_arities = arities;
-    s_doms = doms;
-    s_live = live;
-    s_cp = cp;
-  }
 
 (* Whether the block holding [pc] heads a loop: a [Jump] at or after
    its start jumps back to it, as codegen emits a loop's continue edge.
@@ -172,26 +146,14 @@ let line_at o addr =
    constant propagation consider executable — findings inside
    already-dead code are noise. *)
 
-let dataflow_findings (st : statics) =
+let dataflow_findings (st : statics) lives =
   let o = st.s_cfg.Cfg.cfg_obj in
   let acc = ref [] in
   let emit f = acc := f :: !acc in
   let at = line_at o in
-  (* the Calli sites ascend by address, as the functions do: each
-     function takes its own off the front *)
-  let sites = ref st.s_indirect.Indirect.i_sites in
   Array.iteri
     (fun i (f : Cfg.func) ->
-      let sym = f.Cfg.fn_symbol in
-      let rec take mine = function
-        | (pc, r) :: rest when pc < sym.Objfile.addr + sym.Objfile.size ->
-          take ((pc, r) :: mine) rest
-        | rest ->
-          sites := rest;
-          List.rev mine
-      in
-      let calli = take [] !sites in
-      match (st.s_doms.(i), st.s_live.(i), st.s_cp.(i)) with
+      match (st.s_doms.(i), lives.(i), st.s_cp.(i)) with
       | Some dom, Some live, Some cp ->
         let name = f.Cfg.fn_symbol.Objfile.name in
         let alive bi = f.Cfg.fn_reachable.(bi) && cp.Facts.cp_executable.(bi) in
@@ -248,31 +210,33 @@ let dataflow_findings (st : statics) =
                "%s: control flow contains a multi-entry loop; natural-loop \
                 analysis (and any loop-based optimization) is partial"
                name);
-        List.iter
-          (fun (pc, r) ->
-            match (r, Cfg.block_index f pc) with
-            | Indirect.Resolved [], Some bi when alive bi ->
-              emit
-                (finding ~addr:pc ~func:name "calli-no-callee"
-                   "%s: the indirect call at pc %d%s can reach no function — \
-                    its callee is never assigned a function value"
-                   name pc (at pc))
-            | _ -> ())
-          calli
+        Array.iteri
+          (fun bi (b : Cfg.block) ->
+            if alive bi then
+              List.iter
+                (fun pc ->
+                  match o.Objfile.text.(pc) with
+                  | Instr.Calli _
+                    when Indirect.resolution st.s_indirect ~site:pc
+                         = Some (Indirect.Resolved []) ->
+                    emit
+                      (finding ~addr:pc ~func:name "calli-no-callee"
+                         "%s: the indirect call at pc %d%s can reach no \
+                          function — its callee is never assigned a function \
+                          value"
+                         name pc (at pc))
+                  | _ -> ())
+                b.Cfg.bb_calls)
+          f.Cfg.fn_blocks
       | _ -> ())
     st.s_cfg.Cfg.cfg_funcs;
   List.rev !acc
 
-let static_warnings st =
-  List.filter (fun f -> f.f_severity = Warning) (dataflow_findings st)
-
 (* The object records no declared arity ([Facts.arities] infers one
    from the call sites themselves), so the candidates come from
    [Indirect] and their parameter counts from the source. *)
-let arity_warnings ~params (st : statics) =
+let arity_warnings ~declared (st : statics) =
   let o = st.s_cfg.Cfg.cfg_obj in
-  let declared = Hashtbl.create 16 in
-  List.iter (fun (f, n) -> Hashtbl.replace declared f n) params;
   let name id = o.Objfile.symbols.(id).Objfile.name in
   let arity id = Option.value (Hashtbl.find_opt declared (name id)) ~default:0 in
   List.filter_map
@@ -296,6 +260,27 @@ let arity_warnings ~params (st : statics) =
       | _ -> None)
     st.s_indirect.Indirect.i_sites
 
+let compiler_warnings ~params (st : statics) =
+  let declared = Hashtbl.of_seq (List.to_seq params) in
+  (* A dead-param past the parameters the source declares is a slot
+     the call fills beyond the callee's list: the arity warning names
+     that mistake. [call-anomaly] is the one binary-only warning no
+     dataflow rule gives. *)
+  let printed f =
+    f.f_severity = Warning
+    && f.f_rule <> "call-anomaly"
+    && (f.f_rule <> "dead-param"
+       ||
+       match Option.bind f.f_func (Hashtbl.find_opt declared) with
+       | Some n -> Scanf.sscanf f.f_msg "%_s@: parameter %d" (fun p -> p <= n)
+       | None -> true)
+  in
+  List.filter_map
+    (fun f ->
+      if printed f then Some (Printf.sprintf "[%s] %s" f.f_rule f.f_msg) else None)
+    st.s_binary
+  @ arity_warnings ~declared st
+
 (* ------------------------------------------------------------------ *)
 (* Binary-only rules *)
 
@@ -307,49 +292,69 @@ let anomaly_findings o =
         (Objcode.Scan.anomaly_to_string a))
     (Objcode.Scan.anomalies o)
 
-let binary_findings ?statics (o : Objfile.t) =
-  let statics = match statics with Some s -> s | None -> prepare o in
-  let cfg = statics.s_cfg in
-  let indirect = statics.s_indirect in
-  let acc = ref (List.rev (anomaly_findings o)) in
-  let reach = Reach.analyze ~indirect cfg in
-  List.iter
-    (fun name ->
-      acc :=
-        finding "profiled-unreachable"
-          "%s is instrumented but unreachable from the entry point" name
-        :: !acc)
-    reach.Reach.r_dead_profiled;
-  List.iter
-    (fun (fn, start, len) ->
-      acc :=
+let binary_findings (st : statics) lives =
+  anomaly_findings st.s_cfg.Cfg.cfg_obj
+  @ List.map
+      (finding "profiled-unreachable"
+         "%s is instrumented but unreachable from the entry point")
+      st.s_reach.Reach.r_dead_profiled
+  @ List.map
+      (fun (fn, start, len) ->
         finding ~addr:start "dead-blocks"
           "%s: block [%d..%d) is unreachable within the function" fn start
-          (start + len)
-        :: !acc)
-    reach.Reach.r_dead_blocks;
-  (reach, List.rev !acc @ dataflow_findings statics)
-
-(* The static passes assume a structurally valid image (they crash on
-   a negative call arity, for one), so an image that fails validation
-   gets its binary-invalid findings and the text scan's call
-   anomalies, nothing else. [None] for a valid image. *)
-let invalid_findings o =
-  match Objfile.validate o with
-  | Ok () -> None
-  | Error es ->
-    Some (List.map (finding "binary-invalid" "%s") es @ anomaly_findings o)
+          (start + len))
+      st.s_reach.Reach.r_dead_blocks
+  @ dataflow_findings st lives
 
 let binary_result fs =
   let fs = sort_findings fs in
   publish fs;
   { l_findings = fs; l_arcs_checked = 0; l_buckets_checked = 0 }
 
-let lint_binary ?statics o =
+(* The static passes assume a structurally valid image (they crash on
+   a negative call arity, for one), so an image that fails validation
+   gets its binary-invalid findings and the text scan's call
+   anomalies, nothing else. *)
+let prepare (o : Objfile.t) =
+  Obs.Trace.with_span ~cat:"analysis" "lint-prepare" @@ fun () ->
+  match Objfile.validate o with
+  | Error es ->
+    Result.Error
+      (binary_result
+         (List.map (finding "binary-invalid" "%s") es @ anomaly_findings o))
+  | Ok () ->
+    let cfg = Cfg.build o in
+    let indirect = Indirect.analyze o in
+    let arities = Facts.arities ~indirect cfg in
+    let n = Array.length cfg.Cfg.cfg_funcs in
+    let doms = Array.make n None in
+    let live = Array.make n None in
+    let cp = Array.make n None in
+    Array.iteri
+      (fun i (f : Cfg.func) ->
+        if Array.length f.Cfg.fn_blocks > 0 then begin
+          doms.(i) <- Some (Dom.compute f);
+          let nslots = Option.value arities.(i) ~default:0 in
+          live.(i) <- Some (Facts.liveness ~nslots o f);
+          cp.(i) <- Some (Facts.constprop ?arity:arities.(i) o f)
+        end)
+      cfg.Cfg.cfg_funcs;
+    let st =
+      {
+        s_cfg = cfg;
+        s_indirect = indirect;
+        s_arities = arities;
+        s_doms = doms;
+        s_cp = cp;
+        s_reach = Reach.analyze ~indirect cfg;
+        s_binary = [];
+      }
+    in
+    Ok { st with s_binary = binary_findings st live }
+
+let lint_binary st =
   Obs.Trace.with_span ~cat:"analysis" "lint-binary" @@ fun () ->
-  match invalid_findings o with
-  | Some invalid -> binary_result invalid
-  | None -> binary_result (snd (binary_findings ?statics o))
+  binary_result st.s_binary
 
 (* ------------------------------------------------------------------ *)
 (* PGO pairing rules: does an optimized rebuild still line up with the
@@ -691,17 +696,12 @@ let statics_profile_findings (st : statics) (o : Objfile.t) (g : Gmon.t) =
     st.s_cfg.Cfg.cfg_funcs;
   List.rev !acc
 
-let lint ?statics (o : Objfile.t) (g : Gmon.t) =
+let lint (st : statics) (g : Gmon.t) =
   Obs.Trace.with_span ~cat:"analysis" "lint" @@ fun () ->
-  match invalid_findings o with
-  | Some invalid -> binary_result invalid
-  | None ->
-  let statics = match statics with Some s -> s | None -> prepare o in
-  let indirect = statics.s_indirect in
-  let reach, binary = binary_findings ~statics o in
+  let o = st.s_cfg.Cfg.cfg_obj in
   let hist = hist_findings o g in
-  let arcs = arc_findings o indirect g in
-  let versus = statics_profile_findings statics o g in
+  let arcs = arc_findings o st.s_indirect g in
+  let versus = statics_profile_findings st o g in
   let contradictions =
     List.map
       (fun (c : Reach.contradiction) ->
@@ -712,9 +712,9 @@ let lint ?statics (o : Objfile.t) (g : Gmon.t) =
           (if c.c_ticks = 1 then "" else "s")
           c.c_calls
           (if c.c_calls = 1 then "" else "s"))
-      (Reach.crosscheck reach o g)
+      (Reach.crosscheck st.s_reach o g)
   in
-  let fs = sort_findings (binary @ hist @ arcs @ contradictions @ versus) in
+  let fs = sort_findings (st.s_binary @ hist @ arcs @ contradictions @ versus) in
   publish fs;
   {
     l_findings = fs;

@@ -115,34 +115,32 @@ type statics = {
   s_indirect : Indirect.t;
   s_arities : int option array;  (** per function id, {!Facts.arities} *)
   s_doms : Dom.t option array;  (** [None] for empty functions *)
-  s_live : Facts.live option array;
   s_cp : Facts.cp option array;
+  s_reach : Reach.t;
+  s_binary : finding list;
+      (** the binary-only findings, unsorted: the dataflow rules' come
+          last, function by function *)
 }
-(** Every static analysis the linter consumes, bundled so N profiles
-    against one executable pay for it once. *)
+(** One executable's static analyses and binary-only findings, which
+    every lint of it reads. *)
 
-val prepare : Objcode.Objfile.t -> statics
-(** Build the CFG, resolve the indirect calls, and run {!Dom},
-    liveness and constant propagation on every non-empty function,
-    each over the function's one [fn_graph]. *)
+val prepare : Objcode.Objfile.t -> (statics, t) result
+(** The one place an executable's statics are built: the CFG,
+    {!Indirect}, {!Facts.arities}, {!Dom}, liveness and constant
+    propagation on every non-empty function, {!Reach}, and the
+    binary-only findings. An image that fails
+    {!Objcode.Objfile.validate} gets [Error] of its lint result, its
+    [binary-invalid] and [call-anomaly] findings (published once,
+    here), and no static pass runs on it. *)
 
-val lint : ?statics:statics -> Objcode.Objfile.t -> Gmon.t -> t
-(** Lint one profile against one executable. [statics] defaults to
-    {!prepare} of the executable; pass it to amortize over many
-    profiles. An executable that
-    fails {!Objcode.Objfile.validate} gets only its [binary-invalid]
-    and [call-anomaly] findings: no static pass runs on it, and
-    [statics] is unused.
+val lint : statics -> Gmon.t -> t
+(** Lint one profile: the binary-only findings and the profile rules.
     Publishes [analysis.lint.*] counters (including per-rule
     [analysis.lint.fired.*]) to {!Obs.Metrics.default}. *)
 
-val lint_binary : ?statics:statics -> Objcode.Objfile.t -> t
-(** The binary-only rules ([binary-invalid], [call-anomaly],
-    [profiled-unreachable], [dead-blocks], and the dataflow rules
-    [dead-store]/[dead-param]/[const-branch]/[const-dead-block]/
-    [irreducible-loop]/[calli-no-callee]) — what can be checked with
-    no profile at hand. Like {!lint}, only [binary-invalid] and [call-anomaly] for
-    an executable that fails validation. *)
+val lint_binary : statics -> t
+(** The binary-only findings {!prepare} computed: what can be checked
+    with no profile at hand. *)
 
 val lint_pgo : baseline:Objcode.Objfile.t -> Objcode.Objfile.t -> t
 (** The PGO pairing rules: check a profile-guided rebuild against the
@@ -150,20 +148,15 @@ val lint_pgo : baseline:Objcode.Objfile.t -> Objcode.Objfile.t -> t
     [pgo-entry-mismatch], [pgo-profiled-dropped], [pgo-inlined-away]).
     Purely binary-vs-binary; no profile required. *)
 
-val static_warnings : statics -> finding list
-(** Just the warning-severity dataflow findings over a binary's
-    statics ([dead-store], [dead-param], [const-branch],
-    [irreducible-loop], [calli-no-callee]) — what [minic] prints and
-    [--werror] promotes, so the compiler and the linter agree by
-    construction. *)
-
-val arity_warnings : params:(string * int) list -> statics -> string list
-(** The [Calli n] sites with candidates ({!Indirect.callees}) none of
-    which declares [n] parameters by [params], each function's
-    parameter count in the source. [minic] prints these after
-    {!static_warnings}; they are no lint rule, because the object
-    records no declared arity and {!Facts.arities} infers one from the
-    call sites. *)
+val compiler_warnings : params:(string * int) list -> statics -> string list
+(** What [minic] prints and [--werror] promotes, given [params], each
+    function's parameter count in the source: the warning-severity
+    dataflow findings as ["[rule] message"], in function order, except
+    a [dead-param] for a parameter the source does not declare; then
+    the [Calli n] sites with candidates ({!Indirect.callees}) none of
+    which declares [n] parameters. The object records no declared
+    arity ({!Facts.arities} infers one from the call sites), so the
+    source's part is no lint rule. *)
 
 val worst : t -> severity option
 (** The highest severity present, [None] for a clean result. *)

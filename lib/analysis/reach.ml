@@ -1,24 +1,20 @@
 module Objfile = Objcode.Objfile
 
 type t = {
-  r_reachable : bool array;
   r_unreachable : string list;
   r_dead_profiled : string list;
   r_dead_blocks : (string * int * int) list;
   r_graph : Graphlib.Digraph.t;
 }
 
-let analyze ?indirect (cfg : Cfg.t) =
+let analyze ~indirect (cfg : Cfg.t) =
   Obs.Trace.with_span ~cat:"analysis" "reach" @@ fun () ->
   let o = cfg.Cfg.cfg_obj in
-  let ind =
-    match indirect with Some i -> i | None -> Indirect.analyze o
-  in
   let g =
     Graphlib.Digraph.of_arcs ~n:(Array.length o.Objfile.symbols)
       (List.map
          (fun (src, dst) -> (src, dst, 0))
-         (Objcode.Scan.static_arcs o @ ind.Indirect.i_arcs))
+         (Objcode.Scan.static_arcs o @ indirect.Indirect.i_arcs))
   in
   let roots =
     match Objfile.func_id_of_addr o o.Objfile.entry with
@@ -51,7 +47,6 @@ let analyze ?indirect (cfg : Cfg.t) =
     ~by:(List.length dead_blocks)
     (Obs.Metrics.counter reg "analysis.reach.dead_blocks");
   {
-    r_reachable = reachable;
     r_unreachable = List.rev !unreachable;
     r_dead_profiled = List.rev !dead_profiled;
     r_dead_blocks = dead_blocks;

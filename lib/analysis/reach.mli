@@ -12,7 +12,6 @@
     would have had to declare "spontaneous" (§2). *)
 
 type t = {
-  r_reachable : bool array;  (** per function id *)
   r_unreachable : string list;
       (** names of functions unreachable from the entry point, in
           address order *)
@@ -29,10 +28,8 @@ type t = {
           arc with count 0 *)
 }
 
-val analyze : ?indirect:Indirect.t -> Cfg.t -> t
-(** [indirect] defaults to {!Indirect.analyze} of the same executable;
-    pass it explicitly to share one resolution between passes.
-    Publishes [analysis.reach.*] counters to {!Obs.Metrics.default}. *)
+val analyze : indirect:Indirect.t -> Cfg.t -> t
+(** Publishes [analysis.reach.*] counters to {!Obs.Metrics.default}. *)
 
 type contradiction = {
   c_func : string;

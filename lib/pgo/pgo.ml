@@ -492,11 +492,10 @@ let optimize ?(options = Codegen.default_options) ?(source_name = "<mini>") p
   match Codegen.compile_program ~options:ref_options ~source_name p with
   | Error e -> Error e
   | Ok refobj -> (
-    (* the lint and the report read one Indirect resolution of the
-       reference build; [assemble] validated it, so the statics can be
-       prepared before the lint looks at it *)
-    let statics = Analysis.Proflint.prepare refobj in
-    let lint = Analysis.Proflint.lint ~statics refobj gmon in
+    (* the lint and the report read one preparation of the reference
+       build, which [assemble] validated *)
+    let statics = Result.get_ok (Analysis.Proflint.prepare refobj) in
+    let lint = Analysis.Proflint.lint statics gmon in
     match
       List.find_opt
         (fun (f : Analysis.Proflint.finding) ->

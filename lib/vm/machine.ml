@@ -418,7 +418,8 @@ let service_ticks m ~at_pc =
     Profil.sample m.profil ~pc:at_pc;
     (match m.sampler with
     | Some s ->
-      let walk = Stacksamp.on_tick s ~stack:(call_stack m) in
+      let stack = if Stacksamp.due s then call_stack m else [||] in
+      let walk = Stacksamp.on_tick s ~stack in
       if m.next_tick <= ended then m.cycles <- m.cycles + walk
     | None -> ());
     (match m.epochs with

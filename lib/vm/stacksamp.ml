@@ -49,9 +49,12 @@ let interval t = t.interval
 
 let capacity t = t.capacity
 
+let due t = (t.tick + 1) mod t.interval = 0
+
 let on_tick t ~stack =
+  let sample = due t in
   t.tick <- t.tick + 1;
-  if t.tick mod t.interval <> 0 then 0
+  if not sample then 0
   else begin
     let depth = Array.length stack in
     (match Hashtbl.find_opt t.tbl stack with

@@ -28,6 +28,9 @@ val interval : t -> int
 
 val capacity : t -> int
 
+val due : t -> bool
+(** Whether {!on_tick} will read the next tick's [stack]. *)
+
 val on_tick : t -> stack:int array -> int
 (** Offer the current stack (root first) on a clock tick; the sampler
     interns it if this tick is on its schedule. Returns the cycle cost

@@ -1,7 +1,7 @@
 (* Indirect-call resolution as it was before the worklist: three
    whole-program passes, locals in one (function id, slot) Hashtbl and
    value sets as sorted lists. A verbatim copy but for the type
-   equations, kept only as the reference the indirect parity property
+   equations and the record's site index, kept only as the reference the indirect parity property
    (test_fuzz.ml) runs beside Analysis.Indirect. Its types are
    Analysis.Indirect's, so the two results compare with (=). *)
 
@@ -12,6 +12,7 @@ type resolution = Analysis.Indirect.resolution = Resolved of int list | Unresolv
 
 type t = Analysis.Indirect.t = {
   i_sites : (int * resolution) list;
+  i_by_pc : (int, resolution) Hashtbl.t;
   i_address_taken : int list;
   i_arcs : (int * int) list;
 }
@@ -228,4 +229,9 @@ let analyze (o : Objfile.t) =
     (Obs.Metrics.counter reg "analysis.indirect.unresolved");
   Obs.Metrics.incr ~by:(List.length arcs)
     (Obs.Metrics.counter reg "analysis.indirect.arcs");
-  { i_sites = sites; i_address_taken = address_taken; i_arcs = arcs }
+  {
+    i_sites = sites;
+    i_by_pc = Hashtbl.of_seq (List.to_seq sites);
+    i_address_taken = address_taken;
+    i_arcs = arcs;
+  }

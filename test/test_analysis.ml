@@ -23,6 +23,28 @@ let run_workload w =
 let workload name src =
   { Workloads.Programs.w_name = name; w_source = src; w_about = name }
 
+(* The lint as the tools run it: one preparation of the binary, then
+   the lint over it; an invalid image's result is the lint *)
+let lint o g =
+  Result.fold (Analysis.Proflint.prepare o) ~error:Fun.id ~ok:(fun st ->
+      Analysis.Proflint.lint st g)
+
+let lint_binary o =
+  Result.fold (Analysis.Proflint.prepare o) ~error:Fun.id
+    ~ok:Analysis.Proflint.lint_binary
+
+(* [f]'s result and the names of the spans it records in the default
+   tracer, in start order *)
+let spans_of f =
+  let t = Obs.Trace.default in
+  let was = Obs.Trace.enabled t in
+  Obs.Trace.clear t;
+  Obs.Trace.set_enabled t true;
+  let r = Fun.protect ~finally:(fun () -> Obs.Trace.set_enabled t was) f in
+  let names = List.map (fun s -> s.Obs.Trace.s_name) (Obs.Trace.spans t) in
+  Obs.Trace.clear t;
+  (r, names)
+
 (* ------------------------------------------------------------------ *)
 (* Cfg *)
 
@@ -271,7 +293,9 @@ fun main() {
 let test_reach_dead_function () =
   let r = run_workload (workload "deadfn" dead_src) in
   let cfg = Analysis.Cfg.build r.objfile in
-  let reach = Analysis.Reach.analyze cfg in
+  let reach =
+    Analysis.Reach.analyze ~indirect:(Analysis.Indirect.analyze r.objfile) cfg
+  in
   check_bool "dead is unreachable" true
     (List.mem "dead" reach.r_unreachable);
   check_bool "dead is profiled-but-dead" true
@@ -286,7 +310,7 @@ let test_reach_crosscheck_contradiction () =
   let r = run_workload (workload "deadfn" dead_src) in
   let o = r.objfile in
   let cfg = Analysis.Cfg.build o in
-  let reach = Analysis.Reach.analyze cfg in
+  let reach = Analysis.Reach.analyze ~indirect:(Analysis.Indirect.analyze o) cfg in
   (* seed ticks inside the dead function: the profile now claims
      statically-impossible execution, with no arc to explain it *)
   let g = r.gmon in
@@ -460,7 +484,10 @@ let crosscheck_brute_force =
        QCheck.Gen.(int_bound 1_000_000_000))
     (fun seed ->
       let _, o, g = seeded_profile seed in
-      let reach = Analysis.Reach.analyze (Analysis.Cfg.build o) in
+      let reach =
+        Analysis.Reach.analyze ~indirect:(Analysis.Indirect.analyze o)
+          (Analysis.Cfg.build o)
+      in
       Analysis.Reach.crosscheck reach o g = brute_crosscheck reach o g)
 
 (* ------------------------------------------------------------------ *)
@@ -478,7 +505,7 @@ let test_proflint_intact_runs_pass () =
   List.iter
     (fun w ->
       let r = run_workload w in
-      let l = Analysis.Proflint.lint r.objfile r.gmon in
+      let l = lint r.objfile r.gmon in
       (match errors_of l with
       | [] -> ()
       | f :: _ ->
@@ -493,7 +520,7 @@ let test_proflint_intact_runs_pass () =
 
 let test_proflint_figure4_intact () =
   let l =
-    Analysis.Proflint.lint Workloads.Figure4.objfile Workloads.Figure4.gmon
+    lint Workloads.Figure4.objfile Workloads.Figure4.gmon
   in
   (match Analysis.Proflint.worst l with
   | None | Some Analysis.Proflint.Info -> ()
@@ -513,7 +540,7 @@ let sort_run = lazy (run_workload Workloads.Programs.sort)
 
 let expect_rule gmon rule =
   let r = Lazy.force sort_run in
-  let l = Analysis.Proflint.lint r.objfile gmon in
+  let l = lint r.objfile gmon in
   check_bool (rule ^ " flagged") true (List.mem rule (rules_of l));
   check_int (rule ^ " fails strict") 2 (Analysis.Proflint.exit_code ~strict:true l)
 
@@ -587,7 +614,7 @@ let test_proflint_nonpositive_bucket_size () =
     (fun size ->
       let lint counts =
         let h = r.gmon.Gmon.hist in
-        Analysis.Proflint.lint r.objfile
+        lint r.objfile
           { r.gmon with
             Gmon.hist =
               { h with Gmon.h_bucket_size = size; h_counts = Array.map counts h.h_counts } }
@@ -619,7 +646,7 @@ let test_proflint_dead_code_ticks () =
   let counts = Array.copy g.Gmon.hist.h_counts in
   counts.(entry r.objfile "dead" + 1) <- 31;
   let g' = { g with Gmon.hist = { g.Gmon.hist with h_counts = counts } } in
-  let l = Analysis.Proflint.lint r.objfile g' in
+  let l = lint r.objfile g' in
   check_bool "dead-code-ticks flagged" true
     (List.mem "dead-code-ticks" (rules_of l));
   check_int "warning fails strict" 2 (Analysis.Proflint.exit_code ~strict:true l);
@@ -630,7 +657,7 @@ let test_proflint_render () =
   let r = Lazy.force sort_run in
   let a = direct_call_arc r.objfile r.gmon in
   let bad = { a with Gmon.a_from = entry r.objfile "main" + 1 } in
-  let l = Analysis.Proflint.lint r.objfile (replace_arc r.gmon a bad) in
+  let l = lint r.objfile (replace_arc r.gmon a bad) in
   let s = Analysis.Proflint.render l in
   check_bool "renders the rule id" true (contains ~needle:"[arc-from-non-call]" s);
   check_bool "renders the summary" true (contains ~needle:"proflint:" s);
@@ -638,6 +665,82 @@ let test_proflint_render () =
   match l.l_findings with
   | f :: _ -> check_bool "errors first" true (f.f_severity = Analysis.Proflint.Error)
   | [] -> Alcotest.fail "expected findings"
+
+(* One preparation serves every profile of the binary: Indirect and
+   Reach run once for two profiles, and each lint equals a fresh
+   preparation and lint of its own profile. *)
+let test_proflint_prepare_once () =
+  let r = Lazy.force sort_run in
+  let o = r.objfile in
+  let a = direct_call_arc o r.gmon in
+  let other = replace_arc r.gmon a { a with Gmon.a_from = entry o "main" + 1 } in
+  let results, spans =
+    spans_of (fun () ->
+        match Analysis.Proflint.prepare o with
+        | Ok st -> List.map (Analysis.Proflint.lint st) [ r.gmon; other ]
+        | Error _ -> Alcotest.fail "sort fails validation")
+  in
+  let count name = List.length (List.filter (String.equal name) spans) in
+  check_int "one preparation" 1 (count "lint-prepare");
+  check_int "one Indirect" 1 (count "indirect-resolve");
+  check_int "one Reach" 1 (count "reach");
+  check_int "two lints" 2 (count "lint");
+  List.iter2
+    (fun g l ->
+      check_bool "equals a fresh prepare + lint" true (l = lint o g))
+    [ r.gmon; other ] results;
+  check_bool "the two profiles lint differently" true
+    (List.nth results 0 <> List.nth results 1)
+
+(* An image that fails validation gets its binary-invalid and
+   call-anomaly findings, and no static pass runs on it: here a call
+   with arity -1, which the passes cannot model, and a funref off the
+   symbol table. *)
+let test_proflint_invalid_image () =
+  let o =
+    {
+      Objfile.text =
+        [| Instr.Mcount; Instr.Call (4, -1); Instr.Funref 99; Instr.Ret;
+           Instr.Mcount; Instr.Nop; Instr.Ret |];
+      symbols =
+        [|
+          { Objfile.name = "f"; addr = 0; size = 4; profiled = true };
+          { Objfile.name = "g"; addr = 4; size = 3; profiled = true };
+        |];
+      entry = 0;
+      globals = [||];
+      global_init = [||];
+      arrays = [||];
+      lines = [||];
+      source_name = "invalid";
+    }
+  in
+  let errors =
+    match Objfile.validate o with
+    | Error es -> es
+    | Ok () -> Alcotest.fail "the image validates"
+  in
+  let passes () =
+    Option.value ~default:0
+      (Obs.Metrics.find_counter Obs.Metrics.default "analysis.dataflow.passes")
+  in
+  let before = passes () in
+  match spans_of (fun () -> Analysis.Proflint.prepare o) with
+  | Ok _, _ -> Alcotest.fail "an invalid image was prepared"
+  | Error l, spans ->
+    Alcotest.(check (list string)) "no static pass's span" [ "lint-prepare" ] spans;
+    check_int "no dataflow pass" before (passes ());
+    Alcotest.(check (list (pair string string)))
+      "its binary-invalid, then its call-anomaly findings"
+      (List.map (fun e -> ("binary-invalid", e)) errors
+      @ List.map
+          (fun a -> ("call-anomaly", Scan.anomaly_to_string a))
+          (Scan.anomalies o))
+      (List.map
+         (fun (f : Analysis.Proflint.finding) -> (f.f_rule, f.f_msg))
+         l.l_findings);
+    check_int "no arc checked" 0 l.l_arcs_checked;
+    check_int "no bucket checked" 0 l.l_buckets_checked
 
 (* ------------------------------------------------------------------ *)
 (* Scan anomalies and Disasm annotations *)
@@ -689,7 +792,7 @@ let test_scan_anomalies_surfaced () =
   check_bool "listing has the anomaly section" true
     (contains ~needle:"anomalous targets:" listing);
   (* and proflint reports them as call-anomaly warnings *)
-  let l = Analysis.Proflint.lint_binary o in
+  let l = lint_binary o in
   check_int "two call-anomaly findings" 2
     (List.length (List.filter (fun r -> r = "call-anomaly") (rules_of l)))
 
@@ -724,38 +827,35 @@ let test_disasm_out_of_range_guards () =
 
 (* ------------------------------------------------------------------ *)
 (* The warnings minic prints: Proflint's warning-severity static rules
-   over the compiled source *)
+   over the compiled source, then its arity check *)
 
-let static_warnings ?(options = Compile.Codegen.default_options) src =
-  match Compile.Codegen.compile_source ~options src with
-  | Ok o -> Analysis.Proflint.static_warnings (Analysis.Proflint.prepare o)
+let minic_warnings ?(options = Compile.Codegen.default_options) src =
+  let p = Mini.Parser.parse_program src in
+  match Compile.Codegen.compile_program ~options p with
+  | Ok o ->
+    Analysis.Proflint.compiler_warnings
+      (Result.get_ok (Analysis.Proflint.prepare o))
+      ~params:
+        (List.map
+           (fun (f : Mini.Ast.fundef) -> (f.fname, List.length f.params))
+           p.funs)
   | Error e -> Alcotest.failf "compile %S: %s" src e
 
-let fired rule ws =
-  List.filter (fun (f : Analysis.Proflint.finding) -> f.f_rule = rule) ws
+let fired rule ws = List.filter (String.starts_with ~prefix:("[" ^ rule ^ "] ")) ws
 
 let expect_warning rule src fragment =
-  let ws = static_warnings src in
-  if
-    not
-      (List.exists
-         (fun (f : Analysis.Proflint.finding) -> contains ~needle:fragment f.f_msg)
-         (fired rule ws))
-  then
+  let ws = minic_warnings src in
+  if not (List.exists (contains ~needle:fragment) (fired rule ws)) then
     Alcotest.failf "%s: expected [%s] containing %S; got: %s" src rule fragment
-      (String.concat " | "
-         (List.map (fun (f : Analysis.Proflint.finding) -> f.f_msg) ws))
+      (String.concat " | " ws)
 
 let test_warnings_clean_workloads () =
   List.iter
     (fun (w : Workloads.Programs.t) ->
-      let ws = static_warnings w.w_source in
+      let ws = minic_warnings w.w_source in
       match fired "const-branch" ws @ fired "calli-no-callee" ws with
       | [] -> ()
-      | ws ->
-        Alcotest.failf "workload %s: %s" w.w_name
-          (String.concat "; "
-             (List.map (fun (f : Analysis.Proflint.finding) -> f.f_msg) ws)))
+      | ws -> Alcotest.failf "workload %s: %s" w.w_name (String.concat "; " ws))
     Workloads.Programs.all
 
 let test_warnings_never_a_function () =
@@ -780,18 +880,16 @@ let test_warnings_constant_conditions () =
      continue jump is unreachable *)
   (match
      fired "const-branch"
-       (static_warnings "fun main() { while (1) { return 0; } return 1; }")
+       (minic_warnings "fun main() { while (1) { return 0; } return 1; }")
    with
   | [] -> ()
   | ws ->
-    Alcotest.failf "while (1) should be quiet, got: %s"
-      (String.concat " | "
-         (List.map (fun (f : Analysis.Proflint.finding) -> f.f_msg) ws)));
+    Alcotest.failf "while (1) should be quiet, got: %s" (String.concat " | " ws));
   (* a foldable condition is the folder's business: built with -O it
      leaves no branch to warn about *)
   match
     fired "const-branch"
-      (static_warnings
+      (minic_warnings
          ~options:{ Compile.Codegen.default_options with fold = true }
          "fun main() { if (1 < 2) { return 1; } return 0; }")
   with
@@ -840,6 +938,9 @@ let () =
             test_proflint_nonpositive_bucket_size;
           Alcotest.test_case "dead code ticks" `Quick test_proflint_dead_code_ticks;
           Alcotest.test_case "render" `Quick test_proflint_render;
+          Alcotest.test_case "one preparation, many profiles" `Quick
+            test_proflint_prepare_once;
+          Alcotest.test_case "invalid image" `Quick test_proflint_invalid_image;
         ] );
       ( "warnings",
         [

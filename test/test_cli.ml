@@ -532,6 +532,41 @@ let test_profwatch_cli () =
   check_bool "window points counted" true
     (contains ~needle:"profile point(s)" (stderr_text ()))
 
+(* A binary's statics are prepared once however many profiles are
+   linted against it, so its counters count it once; gprofx --cost
+   hands one Indirect resolution to the report and the bounds. *)
+let test_statics_once_cli () =
+  let obj = path "once.obj" and gmon = path "once.gmon" in
+  ignore (run_cmd [ exe "minic"; "fixtures/smoke.mini"; "--pg"; "-o"; obj ]);
+  ignore (run_cmd [ exe "minirun"; obj; "-q"; "--gmon"; gmon ]);
+  let read p = In_channel.with_open_text p In_channel.input_all in
+  let dead_blocks gmons =
+    let metrics = path "once_metrics.json" in
+    let code, _ =
+      run_cmd ((exe "proflint" :: obj :: gmons) @ [ "--obs-metrics"; metrics ])
+    in
+    check_int "proflint exits 0" 0 code;
+    field Obs.Jsonin.to_int
+      (parse_json "proflint metrics" (read metrics))
+      [ "counters"; "analysis.reach.dead_blocks" ]
+  in
+  check_int "smoke's dead blocks, one profile" 4 (dead_blocks [ gmon ]);
+  check_int "smoke's dead blocks, two profiles" 4 (dead_blocks [ gmon; gmon ]);
+  let trace = path "once_trace.json" in
+  let code, out =
+    run_cmd [ exe "gprofx"; obj; gmon; "--cost"; "--obs-trace"; trace ]
+  in
+  check_int "gprofx --cost exits 0" 0 code;
+  check_bool "the cost listing" true
+    (contains ~needle:"static cost bounds" out && contains ~needle:"leaf" out);
+  let resolutions =
+    List.filter
+      (fun e -> Obs.Jsonin.member "name" e = Some (Obs.Jsonin.Str "indirect-resolve"))
+      (field Obs.Jsonin.to_list (parse_json "gprofx trace" (read trace))
+         [ "traceEvents" ])
+  in
+  check_int "one indirect-resolve span" 1 (List.length resolutions)
+
 (* An indirect call whose candidate set has no arity match: legal to
    run, but minic's arity check (Indirect's candidates joined with the
    source's parameter counts) should warn and --werror should refuse
@@ -1414,6 +1449,7 @@ let () =
           Alcotest.test_case "lenient flags" `Slow test_lenient_flags_cli;
           Alcotest.test_case "profwatch" `Slow test_profwatch_cli;
           Alcotest.test_case "proflint" `Slow test_lint_cli;
+          Alcotest.test_case "statics once per binary" `Slow test_statics_once_cli;
           Alcotest.test_case "pgo loop" `Slow test_pgo_cli;
           Alcotest.test_case "minic --werror" `Slow test_werror_cli;
           Alcotest.test_case "profd daemon" `Slow test_profd_cli;

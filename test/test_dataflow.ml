@@ -28,6 +28,16 @@ let run_workload w =
   | Ok r -> r
   | Error e -> Alcotest.failf "run %s: %s" w.Workloads.Programs.w_name e
 
+(* The lint as the tools run it: one preparation of the binary, then
+   the lint over it; an invalid image's result is the lint *)
+let lint o g =
+  Result.fold (Analysis.Proflint.prepare o) ~error:Fun.id ~ok:(fun st ->
+      Analysis.Proflint.lint st g)
+
+let lint_binary o =
+  Result.fold (Analysis.Proflint.prepare o) ~error:Fun.id
+    ~ok:Analysis.Proflint.lint_binary
+
 let func_named cfg name =
   match
     Array.find_opt
@@ -282,7 +292,9 @@ let test_arities_inferred () =
           fun main() { return add(1, 2); }")
   in
   let cfg = Analysis.Cfg.build r.objfile in
-  let arities = Analysis.Facts.arities cfg in
+  let arities =
+    Analysis.Facts.arities ~indirect:(Analysis.Indirect.analyze r.objfile) cfg
+  in
   let id name =
     match Objfile.symbol_by_name r.objfile name with
     | Some _ ->
@@ -324,7 +336,10 @@ let test_arities_conflict () =
       source_name = "conflict";
     }
   in
-  let arities = Analysis.Facts.arities (Analysis.Cfg.build o) in
+  let arities =
+    Analysis.Facts.arities ~indirect:(Analysis.Indirect.analyze o)
+      (Analysis.Cfg.build o)
+  in
   check_bool "conflicting sites infer nothing" true (arities.(0) = None);
   check_bool "entry still takes 0" true (arities.(1) = Some 0)
 
@@ -351,7 +366,7 @@ let test_constprop_beats_reach () =
       check_bool "dead block is plain-reachable" true f.Analysis.Cfg.fn_reachable.(bi))
     cp.Analysis.Facts.cp_dead_blocks;
   (* and the linter reports both, against the same binary *)
-  let l = Analysis.Proflint.lint_binary o in
+  let l = lint_binary o in
   check_bool "const-branch fires" true (has_rule "const-branch" l);
   check_bool "const-dead-block fires" true (has_rule "const-dead-block" l)
 
@@ -366,7 +381,7 @@ let test_dead_store () =
   check_bool "the overwritten store is dead" true
     (live.Analysis.Facts.lv_dead_stores <> []);
   check_bool "dead-store fires" true
-    (has_rule "dead-store" (Analysis.Proflint.lint_binary o))
+    (has_rule "dead-store" (lint_binary o))
 
 let test_dead_param () =
   let r =
@@ -383,7 +398,7 @@ let test_dead_param () =
   Alcotest.(check (list int)) "slot 1 never read" [ 1 ]
     (Analysis.Facts.dead_params live ~arity:2);
   check_bool "dead-param fires" true
-    (has_rule "dead-param" (Analysis.Proflint.lint_binary o))
+    (has_rule "dead-param" (lint_binary o))
 
 let test_irreducible_lint () =
   (* handmade: a two-entry loop between [2..3] and [4..5] *)
@@ -411,7 +426,7 @@ let test_irreducible_lint () =
   let d = Analysis.Dom.compute f in
   check_bool "irreducible" true d.Analysis.Dom.d_irreducible;
   check_bool "irreducible-loop fires" true
-    (has_rule "irreducible-loop" (Analysis.Proflint.lint_binary o))
+    (has_rule "irreducible-loop" (lint_binary o))
 
 (* ------------------------------------------------------------------ *)
 (* Static cost bounds *)
@@ -426,7 +441,10 @@ let test_cost_loops_and_recursion () =
           fun main() { return work(10) + rec(3); }")
   in
   let cfg = Analysis.Cfg.build r.objfile in
-  let est = Analysis.Cost.static_estimate cfg in
+  let est =
+    Analysis.Cost.static_estimate ~indirect:(Analysis.Indirect.analyze r.objfile)
+      cfg
+  in
   let fn name =
     match
       Array.find_opt (fun c -> c.Analysis.Cost.c_name = name) est.Analysis.Cost.c_funcs
@@ -456,7 +474,7 @@ let test_workloads_lint_clean () =
   List.iter
     (fun w ->
       let r = run_workload w in
-      let l = Analysis.Proflint.lint r.objfile r.gmon in
+      let l = lint r.objfile r.gmon in
       check_int
         (Printf.sprintf "%s lints clean (rules: %s)" w.Workloads.Programs.w_name
            (String.concat ", "
@@ -472,7 +490,7 @@ let test_workloads_lint_clean () =
     Workloads.Programs.all
 
 let test_figure4_lint_clean () =
-  let l = Analysis.Proflint.lint Workloads.Figure4.objfile Workloads.Figure4.gmon in
+  let l = lint Workloads.Figure4.objfile Workloads.Figure4.gmon in
   check_int "figure4 clean" 0 (Analysis.Proflint.exit_code ~strict:true l)
 
 (* ------------------------------------------------------------------ *)
@@ -502,8 +520,8 @@ let test_loop_call_unobserved () =
     }
   in
   check_bool "clean before mutation" false
-    (has_rule "loop-call-unobserved" (Analysis.Proflint.lint o r.gmon));
-  let l = Analysis.Proflint.lint o mutated in
+    (has_rule "loop-call-unobserved" (lint o r.gmon));
+  let l = lint o mutated in
   check_bool "loop-call-unobserved fires" true (has_rule "loop-call-unobserved" l);
   check_int "strict exit" 2 (Analysis.Proflint.exit_code ~strict:true l)
 
@@ -545,8 +563,8 @@ let test_loop_no_ticks () =
   | None -> Alcotest.fail "entry not covered by the histogram");
   let mutated = { r.gmon with Gmon.hist = { h with Gmon.h_counts = counts } } in
   check_bool "clean before mutation" false
-    (has_rule "loop-no-ticks" (Analysis.Proflint.lint o r.gmon));
-  let l = Analysis.Proflint.lint o mutated in
+    (has_rule "loop-no-ticks" (lint o r.gmon));
+  let l = lint o mutated in
   check_bool "loop-no-ticks fires" true (has_rule "loop-no-ticks" l);
   check_int "strict exit" 2 (Analysis.Proflint.exit_code ~strict:true l)
 
@@ -572,7 +590,7 @@ let test_dead_block_ticks () =
   | Some i -> counts.(i) <- counts.(i) + 5
   | None -> Alcotest.fail "dead block not covered by the histogram");
   let mutated = { r.gmon with Gmon.hist = { h with Gmon.h_counts = counts } } in
-  let l = Analysis.Proflint.lint o mutated in
+  let l = lint o mutated in
   check_bool "dead-block-ticks fires" true (has_rule "dead-block-ticks" l);
   check_bool "it is an error" true
     (List.exists
@@ -586,9 +604,9 @@ let test_dead_block_ticks () =
 
 let test_aggregate_duplicates () =
   let o = Workloads.Figure4.objfile and g = Workloads.Figure4.gmon in
-  let statics = Analysis.Proflint.prepare o in
-  let r1 = Analysis.Proflint.lint ~statics o g in
-  let r2 = Analysis.Proflint.lint ~statics o g in
+  let statics = Result.get_ok (Analysis.Proflint.prepare o) in
+  let r1 = Analysis.Proflint.lint statics g in
+  let r2 = Analysis.Proflint.lint statics g in
   let aggs = Analysis.Proflint.aggregate [ r1; r2 ] in
   check_int "distinct findings, not doubled" (List.length r1.l_findings)
     (List.length aggs);
@@ -606,11 +624,11 @@ let test_json_deterministic_and_parses () =
   let o = Workloads.Figure4.objfile and g = Workloads.Figure4.gmon in
   let j1 =
     Analysis.Proflint.to_json ~binary:"figure4" ~profiles:[ "a"; "b" ]
-      [ Analysis.Proflint.lint o g; Analysis.Proflint.lint o g ]
+      [ lint o g; lint o g ]
   in
   let j2 =
     Analysis.Proflint.to_json ~binary:"figure4" ~profiles:[ "a"; "b" ]
-      [ Analysis.Proflint.lint o g; Analysis.Proflint.lint o g ]
+      [ lint o g; lint o g ]
   in
   check_bool "byte-identical across runs" true (String.equal j1 j2);
   (* independent parse-back *)
@@ -661,7 +679,7 @@ let test_metrics_published () =
   let reg = Obs.Metrics.default in
   let before = Obs.Metrics.counter_value (Obs.Metrics.counter reg "analysis.dataflow.passes") in
   let r = run_workload (workload "metrics" constprop_src) in
-  let l = Analysis.Proflint.lint r.objfile r.gmon in
+  let l = lint r.objfile r.gmon in
   ignore l;
   let after = Obs.Metrics.counter_value (Obs.Metrics.counter reg "analysis.dataflow.passes") in
   check_bool "dataflow passes counted" true (after > before);

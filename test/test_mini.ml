@@ -479,17 +479,19 @@ let test_check_function_values_ok () =
        (errors_of
           "fun f(x) { return x; } fun g() { var h = f; return h(1); }"))
 
-(* The warning that reads the source: an indirect call whose argument
-   count no candidate callee declares. The candidates come from the
+(* The warnings that read the source: an indirect call whose argument
+   count no candidate callee declares, and no dead-param for a slot
+   the source declares no parameter for. The candidates come from the
    compiled object's Indirect analysis, the parameter counts from the
-   AST. *)
+   AST. [warnings_of] is every warning minic prints. *)
 
 let warnings_of src =
   let p = parse_ok src in
   match Compile.Codegen.compile_program p with
   | Error e -> Alcotest.failf "compile %S: %s" src e
   | Ok o ->
-    Analysis.Proflint.arity_warnings (Analysis.Proflint.prepare o)
+    Analysis.Proflint.compiler_warnings
+      (Result.get_ok (Analysis.Proflint.prepare o))
       ~params:
         (List.map
            (fun (f : Ast.fundef) -> (f.fname, List.length f.params))
@@ -516,13 +518,25 @@ let test_warnings_arity_mismatch () =
     "fun one(a) { return a; } fun g() { var h = one; return h(1, 2); } \
      fun main() { return g(); }"
     "takes 2 arguments (candidates: one/1)";
-  (* a matching candidate anywhere in the set silences the site *)
+  (* a matching candidate anywhere in the set silences the site, and
+     [one]'s second slot is no parameter of the source *)
   Alcotest.(check int) "mixed arities with a match are fine" 0
     (List.length
        (warnings_of
           "fun one(a) { return a; } fun two(a, b) { return a + b; } \
            fun g(k) { var h; if (k) { h = one; } else { h = two; } \
            return h(1, 2); } fun main() { return g(1); }"))
+
+(* One mistake, one warning: the call passes [one] an argument it
+   does not declare, and the slot that argument lands in is no unread
+   parameter of the source. *)
+let test_warnings_one_per_mistake () =
+  let src =
+    "fun one(a) { return a; } fun g() { var h = one; return h(1, 2); } \
+     fun main() { return g(); }"
+  in
+  expect_warning src "takes 2 arguments (candidates: one/1)";
+  Alcotest.(check int) "one warning" 1 (List.length (warnings_of src))
 
 let test_warnings_flow_through_calls () =
   (* the function value flows through an argument into a parameter *)
@@ -596,6 +610,8 @@ let () =
       ( "warnings",
         [
           Alcotest.test_case "arity mismatch" `Quick test_warnings_arity_mismatch;
+          Alcotest.test_case "one warning per arity mistake" `Quick
+            test_warnings_one_per_mistake;
           Alcotest.test_case "flow through calls" `Quick
             test_warnings_flow_through_calls;
         ] );

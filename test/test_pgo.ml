@@ -110,7 +110,9 @@ let test_optimized_binary_reprofiles_cleanly () =
   let m = run_halted obj in
   let fresh = Vm.Machine.profile m in
   check_int "fresh profile lints clean (strict)" 0
-    (Analysis.Proflint.exit_code ~strict:true (Analysis.Proflint.lint obj fresh))
+    (Analysis.Proflint.exit_code ~strict:true
+       (Result.fold (Analysis.Proflint.prepare obj) ~error:Fun.id ~ok:(fun st ->
+            Analysis.Proflint.lint st fresh)))
 
 let test_lint_pgo_pairing_rules () =
   let base = profile_of Workloads.Programs.matrix in

@@ -738,6 +738,32 @@ fun main() {
   check_bool "some ticks walked the stack, not all" true
     (walked > 0 && walked < 2 * Vm.Machine.ticks m)
 
+(* A sampler that takes one tick in a thousand reads the call stack
+   for that tick alone, so on a 1-cycle clock the run allocates about
+   what it does with no sampler. Reading the stack on every tick would
+   cost a fresh frame array, at least two words, per tick. *)
+let test_stack_read_only_when_due () =
+  let o = compile_src looping_src in
+  let words_per_tick stack_interval =
+    let m =
+      Vm.Machine.create
+        ~config:{ Vm.Machine.default_config with cycles_per_tick = 1; stack_interval }
+        o
+    in
+    let before = Gc.minor_words () in
+    check_bool "halts" true (Vm.Machine.run m = Vm.Machine.Halted);
+    let words = Gc.minor_words () -. before in
+    (words /. float_of_int (Vm.Machine.ticks m), m)
+  in
+  let plain, _ = words_per_tick None in
+  let sampled, m = words_per_tick (Some 1000) in
+  check_int "one sample a thousand ticks"
+    (Vm.Machine.ticks m / 1000)
+    (Vm.Stacksamp.n_samples (Option.get (Vm.Machine.sampler m)));
+  let extra = sampled -. plain in
+  if extra >= 0.1 then
+    Alcotest.failf "the sampler allocates %.3f more minor words per tick" extra
+
 let test_jitter_determinism_and_effect () =
   let o = compile_src looping_src in
   let run seed jitter =
@@ -881,6 +907,8 @@ let () =
           Alcotest.test_case "stack samples" `Quick test_stack_samples_from_machine;
           Alcotest.test_case "stack walks dearer than a tick" `Quick
             test_stack_walks_dearer_than_a_tick;
+          Alcotest.test_case "stack read only when a sample is due" `Quick
+            test_stack_read_only_when_due;
           Alcotest.test_case "jitter" `Quick test_jitter_determinism_and_effect;
           Alcotest.test_case "oracle totals" `Quick test_oracle_matches_machine_totals;
         ] );
