@@ -1,7 +1,5 @@
 (* Self-observability: sanity of the metrics the instrumented layers
-   publish, span coverage of the post-processing passes, and the
-   host-time overhead of leaving the VM's execution-mix counters on
-   (target: below 5%). *)
+   publish, and span coverage of the post-processing passes. *)
 
 open Harness
 
@@ -53,58 +51,7 @@ let t_obs () =
          "propagate"; "report"; "flat"; "graph"; "index";
        ]);
   expect "chrome export carries a traceEvents array"
-    (contains ~needle:"\"traceEvents\":[" json);
-
-  section "host-time overhead of the always-on VM metrics (paired runs)";
-  let obj =
-    match Workloads.Driver.compile Workloads.Programs.matrix with
-    | Ok o -> o
-    | Error e -> failwith e
-  in
-  let time metrics =
-    let config = { Vm.Machine.default_config with metrics } in
-    let t0 = Unix.gettimeofday () in
-    ignore (Vm.Machine.run (Vm.Machine.create ~config obj));
-    Unix.gettimeofday () -. t0
-  in
-  (* Estimating each configuration in its own batch (as Bechamel does)
-     lets one scheduler burst inflate a whole batch and flip the
-     verdict. Interleaved off/on pairs share whatever the host is
-     doing, the per-pair ratio cancels it, and the median discards the
-     pairs a burst still split. Like t-dataflow's timing bound, a
-     sweep that trips the limit is re-run keeping the best, so the
-     bound judges the instrumentation, not the neighbours. *)
-  ignore (time false);
-  ignore (time true);
-  let sweep () =
-    let ratios =
-      Array.init 11 (fun i ->
-          (* alternate leg order so slow drift hits both legs alike *)
-          if i mod 2 = 0 then
-            let off = time false in
-            time true /. off
-          else
-            let on = time true in
-            on /. time false)
-    in
-    Array.sort compare ratios;
-    ratios.(Array.length ratios / 2)
-  in
-  let ratio = ref (sweep ()) in
-  let sweeps = ref 1 in
-  while (!sweeps < 3 || !ratio >= 1.05) && !sweeps < 6 do
-    incr sweeps;
-    ratio := min !ratio (sweep ())
-  done;
-  Printf.printf "  median on/off host-time ratio: %.4f%s\n" !ratio
-    (if !sweeps > 1 then Printf.sprintf " (best of %d sweeps)" !sweeps else "");
-  (* Published so `bench/main.exe --obs-json` lets BENCH files track
-     instrumentation overhead across PRs. *)
-  Obs.Metrics.set
-    (Obs.Metrics.gauge Obs.Metrics.default "bench.obs.overhead_ppm"
-       ~help:"relative host-time cost of metrics-on VM runs, parts per million")
-    (int_of_float ((!ratio -. 1.0) *. 1e6));
-  expect "metrics-on overhead below 5%" (!ratio <= 1.05)
+    (contains ~needle:"\"traceEvents\":[" json)
 
 (* The telemetry plane added with profd's live RPCs: what a poll
    costs. A client's steady state is capture -> serialize (daemon
@@ -183,7 +130,7 @@ let t_telemetry () =
 
 let register () =
   register "t-obs"
-    "self-observability: metric sanity, pass spans, instrumentation overhead"
+    "self-observability: metric sanity and pass spans"
     t_obs;
   register "t-telemetry"
     "telemetry plane: snapshot fidelity and capture/serialize/parse/diff cost"

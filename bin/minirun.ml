@@ -39,7 +39,6 @@ let run obj_path gmon_out submit_sock submit_label submit_retries spool_dir
         keying =
           (if callee_primary then Vm.Monitor.Callee_primary
            else Vm.Monitor.Site_primary);
-        count_instructions = icount_out <> None;
         seed;
         tick_jitter = jitter;
         max_cycles;
@@ -183,14 +182,13 @@ let run obj_path gmon_out submit_sock submit_label submit_retries spool_dir
         prof_out;
       Option.iter
         (fun p ->
-          match Vm.Machine.instruction_counts m with
-          | Some counts -> (
-            match Gmon.Icount.save (Gmon.Icount.of_counts counts) p with
-            | Ok () -> ()
-            | Error e ->
-              Printf.eprintf "minirun: %s\n" e;
-              saved := false)
-          | None -> ())
+          match
+            Gmon.Icount.save (Gmon.Icount.of_counts (Vm.Machine.instruction_counts m)) p
+          with
+          | Ok () -> ()
+          | Error e ->
+            Printf.eprintf "minirun: %s\n" e;
+            saved := false)
         icount_out;
       if not !saved then 1
       else begin

@@ -15,11 +15,7 @@ let run ?(options = Compile.Codegen.profiling_options) source =
     | Ok o -> o
     | Error e -> failwith e
   in
-  let m =
-    Vm.Machine.create
-      ~config:{ Vm.Machine.default_config with count_instructions = true }
-      o
-  in
+  let m = Vm.Machine.create o in
   (match Vm.Machine.run m with
   | Vm.Machine.Halted -> ()
   | Vm.Machine.Faulted f -> failwith (Format.asprintf "%a" Vm.Machine.pp_fault f)
@@ -48,7 +44,7 @@ let () =
     name1 pct1;
 
   print_endline "step 2: zoom in with the annotated source (hottest lines)";
-  let ic1 = Gmon.Icount.of_counts (Option.get (Vm.Machine.instruction_counts m1)) in
+  let ic1 = Gmon.Icount.of_counts (Vm.Machine.instruction_counts m1) in
   (match
      Gprof_core.Annotate.analyze ~icounts:ic1 ~source:before.w_source o1
        (Vm.Machine.profile m1)
@@ -91,11 +87,7 @@ let () =
     | Ok r -> r
     | Error e -> failwith e
   in
-  let m4 =
-    Vm.Machine.create
-      ~config:{ Vm.Machine.default_config with count_instructions = true }
-      o4
-  in
+  let m4 = Vm.Machine.create o4 in
   (match Vm.Machine.run m4 with
   | Vm.Machine.Halted -> ()
   | Vm.Machine.Faulted f -> failwith (Format.asprintf "%a" Vm.Machine.pp_fault f)

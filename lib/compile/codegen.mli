@@ -8,9 +8,9 @@
     independent: gprof needs [profile], prof needs [count], and an
     uninstrumented build has neither and runs at full speed.
 
-    [profile_all = false] combined with a [profiled] predicate lets
-    callers instrument a subset of routines, reproducing the paper's
-    "one need not profile all the routines in a program". *)
+    A [profiled] predicate that refuses some names lets callers
+    instrument a subset of routines, reproducing the paper's "one need
+    not profile all the routines in a program". *)
 
 type options = {
   profile : bool;  (** insert [Mcount] prologues (gprof) *)

@@ -661,11 +661,6 @@ module Sprof = struct
 
   let n_samples t = List.fold_left (fun a (_, c) -> a + c) 0 t.sp_stacks
 
-  let seconds_per_sample t =
-    float_of_int t.sp_sample_interval /. float_of_int t.sp_ticks_per_second
-
-  let total_seconds t = float_of_int (n_samples t) *. seconds_per_sample t
-
   let validate t =
     let errs = ref [] in
     let err fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt in

@@ -397,10 +397,6 @@ module Sprof : sig
   val n_samples : t -> int
   (** Sum of all stack counts. *)
 
-  val seconds_per_sample : t -> float
-
-  val total_seconds : t -> float
-
   val validate : t -> (unit, string list) result
   (** Rates positive, [runs >= 1], stacks canonically sorted and
       unique with positive counts and nonnegative frame addresses. *)

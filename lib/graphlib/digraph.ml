@@ -97,10 +97,3 @@ let reverse g =
   of_arcs ~n:g.n (List.map (fun (s, d, c) -> (d, s, c)) (arcs g))
 
 let equal a b = a.n = b.n && arcs a = arcs b
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>digraph(%d nodes, %d arcs)" g.n g.narcs;
-  iter_arcs
-    (fun ~src ~dst ~count -> Format.fprintf ppf "@,  %d -> %d [%d]" src dst count)
-    g;
-  Format.fprintf ppf "@]"

@@ -55,5 +55,3 @@ val reverse : t -> t
 
 val equal : t -> t -> bool
 (** Same node count and same weighted arc set. *)
-
-val pp : Format.formatter -> t -> unit

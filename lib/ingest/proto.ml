@@ -281,16 +281,15 @@ let rpc_once ~timeout ~socket req =
             | Ok body -> decode_response body)))
 
 (* Capped exponential backoff with deterministic jitter: attempt k
-   sleeps min(2s, 50ms * 2^k) scaled into [0.5, 1.0) by the seeded
-   PRNG, so two clients with different seeds never thundering-herd in
-   lockstep and a chaos run replays its exact schedule. *)
+   sleeps min(2s, 50ms * 2^k) scaled into [0.5, 1.0) by a fixed-seed
+   PRNG, so a chaos run replays its exact schedule. *)
 let backoff_delay prng k =
   let base = Float.min 2.0 (0.05 *. Float.pow 2.0 (float_of_int k)) in
   base *. (0.5 +. (0.5 *. Util.Prng.float prng 1.0))
 
-let rpc ?(attempts = 1) ?(timeout = 30.0) ?(retry_seed = 0) ~socket req =
+let rpc ?(attempts = 1) ?(timeout = 30.0) ~socket req =
   let attempts = max 1 attempts in
-  let prng = Util.Prng.create (0x9e3779b9 lxor retry_seed) in
+  let prng = Util.Prng.create 0x9e3779b9 in
   let sleep d = if d > 0.0 then ignore (Unix.select [] [] [] d) in
   let rec attempt k =
     let outcome = rpc_once ~timeout ~socket req in

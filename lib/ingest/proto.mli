@@ -112,14 +112,13 @@ val decode_response : string -> (response, string) result
 val rpc :
   ?attempts:int ->
   ?timeout:float ->
-  ?retry_seed:int ->
   socket:string ->
   request ->
   (response, string) result
 (** Connect to a daemon, send one request, read one response, close.
     [timeout] (default 30 s) bounds each attempt's IO; [attempts]
     (default 1) adds capped exponential backoff with deterministic
-    jitter (seeded by [retry_seed]) between attempts, retrying
+    jitter (the same schedule on every call) between attempts, retrying
     transport failures and [Resp_busy] answers — a [Resp_busy]'s
     [retry_after] floor is honored. Retrying a [Submit] is safe when
     it carries an id (the daemon dedupes). The final attempt's

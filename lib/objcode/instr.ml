@@ -208,5 +208,3 @@ let of_string s =
       | None, _ -> Error (Printf.sprintf "unknown instruction %S" op)))
 
 let equal (a : t) (b : t) = a = b
-
-let pp ppf i = Format.pp_print_string ppf (to_string i)

@@ -86,5 +86,3 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -21,35 +21,29 @@ let hist_bucket_bounds b =
   else if b = n_hist_buckets - 1 then (1 lsl (b - 1), max_int)
   else (1 lsl (b - 1), (1 lsl b) - 1)
 
-type counter = { mutable c_value : int; c_owner : t }
+type counter = { mutable c_value : int }
 
-and gauge = { mutable g_value : int; g_owner : t }
+type gauge = { mutable g_value : int }
 
-and histogram = {
+type histogram = {
   h_buckets : int array;
   mutable h_count : int;
   mutable h_sum : int;
   mutable h_max : int;
-  h_owner : t;
 }
 
-and instrument =
+type instrument =
   | Counter of counter
   | Gauge of gauge
   | Histogram of histogram
 
-and t = {
+type t = {
   instruments : (string, instrument * string) Hashtbl.t; (* name -> (inst, help) *)
-  mutable enabled : bool;
 }
 
-let create () = { instruments = Hashtbl.create 32; enabled = true }
+let create () = { instruments = Hashtbl.create 32 }
 
 let default = create ()
-
-let enabled t = t.enabled
-
-let set_enabled t on = t.enabled <- on
 
 let describe = function
   | Counter _ -> "counter"
@@ -73,14 +67,14 @@ let register t name help fresh select =
 let counter t ?help name =
   register t name help
     (fun () ->
-      let c = { c_value = 0; c_owner = t } in
+      let c = { c_value = 0 } in
       (Counter c, c))
     (function Counter c -> Some c | _ -> None)
 
 let gauge t ?help name =
   register t name help
     (fun () ->
-      let g = { g_value = 0; g_owner = t } in
+      let g = { g_value = 0 } in
       (Gauge g, g))
     (function Gauge g -> Some g | _ -> None)
 
@@ -93,37 +87,32 @@ let histogram t ?help name =
           h_count = 0;
           h_sum = 0;
           h_max = 0;
-          h_owner = t;
         }
       in
       (Histogram h, h))
     (function Histogram h -> Some h | _ -> None)
 
-let incr ?(by = 1) c = if c.c_owner.enabled then c.c_value <- c.c_value + by
+let incr ?(by = 1) c = c.c_value <- c.c_value + by
 
 let counter_value c = c.c_value
 
-let set g v = if g.g_owner.enabled then g.g_value <- v
+let set g v = g.g_value <- v
 
 let gauge_value g = g.g_value
 
 let observe h v =
-  if h.h_owner.enabled then begin
-    h.h_buckets.(hist_bucket_of v) <- h.h_buckets.(hist_bucket_of v) + 1;
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum + v;
-    if v > h.h_max then h.h_max <- v
-  end
+  h.h_buckets.(hist_bucket_of v) <- h.h_buckets.(hist_bucket_of v) + 1;
+  h.h_count <- h.h_count + 1;
+  h.h_sum <- h.h_sum + v;
+  if v > h.h_max then h.h_max <- v
 
 let set_snapshot h ~buckets ~count ~sum ~max =
-  if h.h_owner.enabled then begin
-    if Array.length buckets <> n_hist_buckets then
-      invalid_arg "Obs.Metrics.set_snapshot: wrong bucket count";
-    Array.blit buckets 0 h.h_buckets 0 n_hist_buckets;
-    h.h_count <- count;
-    h.h_sum <- sum;
-    h.h_max <- max
-  end
+  if Array.length buckets <> n_hist_buckets then
+    invalid_arg "Obs.Metrics.set_snapshot: wrong bucket count";
+  Array.blit buckets 0 h.h_buckets 0 n_hist_buckets;
+  h.h_count <- count;
+  h.h_sum <- sum;
+  h.h_max <- max
 
 let hist_count h = h.h_count
 let hist_sum h = h.h_sum

@@ -2,9 +2,9 @@
 
     Named counters, gauges, and histograms with fixed log2 buckets.
     Instruments are registered by name (get-or-create); registering
-    the same name with a different instrument kind raises. A disabled
-    registry turns every mutation into a no-op, so instrumentation can
-    stay in place at zero reporting cost.
+    the same name with a different instrument kind raises. Every
+    mutation takes effect: the registry has no off switch, so what a
+    component counted is always what a reader sees.
 
     [default] is the process-wide registry used by components that
     have no natural owner for their counters (e.g. the gmon codec's
@@ -29,10 +29,6 @@ val create : unit -> t
 
 val default : t
 (** The process-wide registry. *)
-
-val enabled : t -> bool
-
-val set_enabled : t -> bool -> unit
 
 val reset : t -> unit
 (** Zero every instrument (registrations are kept). *)

@@ -16,30 +16,26 @@ let of_string (o : Objcode.Objfile.t) s =
   let lines = String.split_on_char '\n' s |> List.filter (( <> ) "") in
   match lines with
   | m :: rest when m = magic -> (
-    let n = Array.length o.symbols in
-    let counts = Array.make n (-1) in
-    let id_of name =
-      let found = ref None in
-      Array.iteri
-        (fun i (sym : Objcode.Objfile.symbol) ->
-          if sym.name = name && !found = None then found := Some i)
-        o.symbols;
-      !found
-    in
+    let st = Gprof_core.Symtab.of_objfile o in
+    let counts = Array.make (Array.length o.symbols) (-1) in
     let exception Bad of string in
     try
       List.iter
         (fun line ->
           match String.split_on_char ' ' line |> List.filter (( <> ) "") with
           | [ name; v ] -> (
-            match (id_of name, int_of_string_opt v) with
-            | Some i, Some c ->
-              if counts.(i) >= 0 then
-                raise (Bad (Printf.sprintf "duplicate entry for %s" name));
-              if c < 0 then raise (Bad (Printf.sprintf "negative count for %s" name));
-              counts.(i) <- c
-            | None, _ -> raise (Bad (Printf.sprintf "unknown function %s" name))
-            | _, None -> raise (Bad (Printf.sprintf "bad count %S for %s" v name)))
+            (* An object may hold several routines of one name, written
+               in symbol order: the k-th line naming one fills the k-th
+               routine of that name. *)
+            match (Gprof_core.Symtab.ids_of_name st name, int_of_string_opt v) with
+            | [], _ -> raise (Bad (Printf.sprintf "unknown function %s" name))
+            | _, None -> raise (Bad (Printf.sprintf "bad count %S for %s" v name))
+            | ids, Some c -> (
+              match List.find_opt (fun i -> counts.(i) < 0) ids with
+              | None -> raise (Bad (Printf.sprintf "duplicate entry for %s" name))
+              | Some i ->
+                if c < 0 then raise (Bad (Printf.sprintf "negative count for %s" name));
+                counts.(i) <- c))
           | _ -> raise (Bad (Printf.sprintf "malformed line %S" line)))
         rest;
       Array.iteri

@@ -12,8 +12,10 @@ val to_string : Objcode.Objfile.t -> int array -> string
     symbol count. *)
 
 val of_string : Objcode.Objfile.t -> string -> (int array, string) result
-(** Order-insensitive; unknown names, duplicates, missing functions,
-    and malformed counts are errors. *)
+(** Order-insensitive across names; the k-th line naming [f] is the
+    count of the k-th routine named [f], as {!to_string} writes them.
+    Unknown names, more lines for a name than routines of it, missing
+    functions, and malformed counts are errors. *)
 
 val save : Objcode.Objfile.t -> int array -> string -> unit
 

@@ -35,10 +35,6 @@ let get v i =
   check v i;
   v.store.(i)
 
-let set v i x =
-  check v i;
-  v.store.(i) <- x
-
 let pop v =
   if v.len = 0 then None
   else begin
@@ -53,11 +49,6 @@ let top v = if v.len = 0 then None else Some v.store.(v.len - 1)
 let clear v =
   Array.fill v.store 0 v.len v.dummy;
   v.len <- 0
-
-let iter f v =
-  for i = 0 to v.len - 1 do
-    f v.store.(i)
-  done
 
 let iteri f v =
   for i = 0 to v.len - 1 do

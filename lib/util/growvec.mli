@@ -20,10 +20,6 @@ val get : 'a t -> int -> 'a
 (** [get v i] is the [i]th element. @raise Invalid_argument if out of
     bounds. *)
 
-val set : 'a t -> int -> 'a -> unit
-(** [set v i x] replaces the [i]th element. @raise Invalid_argument if
-    out of bounds. *)
-
 val pop : 'a t -> 'a option
 (** [pop v] removes and returns the last element, if any. *)
 
@@ -31,8 +27,6 @@ val top : 'a t -> 'a option
 
 val clear : 'a t -> unit
 (** [clear v] resets the length to 0 without shrinking the store. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 

@@ -1,7 +1,6 @@
 type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
 
 (* splitmix64: Steele, Lea & Flood, "Fast splittable pseudorandom number
    generators" (OOPSLA 2014). Chosen for statistical quality at two
@@ -29,8 +28,6 @@ let int_in t lo hi =
 let float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in
   bound *. (r /. 9007199254740992.0)
-
-let bool t = Int64.logand (next64 t) 1L = 1L
 
 let split t =
   let seed = next64 t in

@@ -10,8 +10,6 @@ val create : int -> t
 (** [create seed] makes a generator from a seed. Equal seeds give equal
     streams. *)
 
-val copy : t -> t
-
 val next64 : t -> int64
 (** Next raw 64-bit output. *)
 
@@ -24,8 +22,6 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
 
 val split : t -> t
 (** [split t] derives an independent generator, advancing [t]. *)

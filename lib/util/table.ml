@@ -1,10 +1,8 @@
 type align = Left | Right
 
-type row = Cells of string list | Sep
-
 type t = {
   headers : (string * align) list;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create headers = { headers; rows = [] }
@@ -14,9 +12,7 @@ let add_row t cells =
     invalid_arg
       (Printf.sprintf "Table.add_row: %d cells, %d columns"
          (List.length cells) (List.length t.headers));
-  t.rows <- Cells cells :: t.rows
-
-let add_sep t = t.rows <- Sep :: t.rows
+  t.rows <- cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -33,10 +29,7 @@ let render t =
     List.mapi
       (fun i h ->
         List.fold_left
-          (fun acc row ->
-            match row with
-            | Sep -> acc
-            | Cells cells -> max acc (String.length (List.nth cells i)))
+          (fun acc cells -> max acc (String.length (List.nth cells i)))
           (String.length h) rows)
       headers
   in
@@ -59,7 +52,7 @@ let render t =
   in
   emit_cells headers;
   rule ();
-  List.iter (function Sep -> rule () | Cells cells -> emit_cells cells) rows;
+  List.iter emit_cells rows;
   Buffer.contents buf
 
 let print t = print_string (render t)

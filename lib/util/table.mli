@@ -16,9 +16,6 @@ val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row width differs from the header
     width. *)
 
-val add_sep : t -> unit
-(** Insert a horizontal separator row. *)
-
 val render : t -> string
 (** Render with a header rule and column padding. *)
 

@@ -9,8 +9,6 @@ type config = {
   oracle : bool;
   stack_interval : int option;
   stack_capacity : int option;
-  count_instructions : bool;
-  metrics : bool;
   tick_jitter : float;
   seed : int;
   max_cycles : int option;
@@ -28,8 +26,6 @@ let default_config =
     oracle = false;
     stack_interval = None;
     stack_capacity = None;
-    count_instructions = false;
-    metrics = true;
     tick_jitter = 0.0;
     seed = 1;
     max_cycles = None;
@@ -66,7 +62,7 @@ let f_checked = 4
 (* The epoch engine: cumulative counter values at the last boundary,
    against which each window's delta is computed. Baselines and
    entries live outside simulated time — taking a snapshot costs the
-   running program nothing, like the metrics counters. *)
+   running program nothing, like the per-pc execution counts. *)
 type epoch_state = {
   ep_every : int;
   mutable ep_base_counts : int array;
@@ -109,17 +105,16 @@ type t = {
   oracle : Oracle.t option;
   sampler : Stacksamp.t option;
   icounts : int array;
-      (* executions per pc, always kept: the instruction counts and the
-         metrics' dispatch breakdown both derive from it, so the hot
-         path bumps one counter and tests no setting *)
+      (* executions per pc: the instruction counts, the instructions
+         executed and the dispatch breakdown all derive from it, so the
+         hot path bumps one counter *)
   prng : Util.Prng.t;
   out : Buffer.t;
   mutable status : status;
   mutable result : int option;
   mutable fault_countdown : int;
       (* instructions left before the injected fault, max_int when
-         none is configured; counted independently of the metrics, so
-         injection works with metrics off *)
+         none is configured *)
   epochs : epoch_state option;
 }
 
@@ -222,7 +217,6 @@ let create ?(config = default_config) o =
   | None -> ());
   m
 
-let obj m = m.o
 let status m = m.status
 let cycles m = m.cycles
 let ticks m = m.n_ticks
@@ -230,8 +224,7 @@ let output m = Buffer.contents m.out
 let result m = m.result
 let pcounts m = Array.copy m.pcounts
 
-let instruction_counts m =
-  if m.config.count_instructions then Some (Array.copy m.icounts) else None
+let instruction_counts m = Array.copy m.icounts
 let monitor m = m.monitor
 let mcount_cycles m = m.mcount_cycles
 let the_oracle m = m.oracle
@@ -239,16 +232,14 @@ let the_oracle m = m.oracle
 (* Executions per Instr.group, summed from the per-pc counts. *)
 let dispatch m =
   let d = Array.make Instr.n_groups 0 in
-  if m.config.metrics then
-    Array.iteri
-      (fun pc n ->
-        let g = Instr.group m.text.(pc) in
-        d.(g) <- d.(g) + n)
-      m.icounts;
+  Array.iteri
+    (fun pc n ->
+      let g = Instr.group m.text.(pc) in
+      d.(g) <- d.(g) + n)
+    m.icounts;
   d
 
-let instructions_executed m =
-  if m.config.metrics then Array.fold_left ( + ) 0 m.icounts else 0
+let instructions_executed m = Array.fold_left ( + ) 0 m.icounts
 
 let dispatch_counts m =
   Array.to_list (Array.mapi (fun g n -> (Instr.group_name g, n)) (dispatch m))
@@ -371,11 +362,10 @@ let epochs m =
         then [ e ]
         else []
       in
-      let h = Profil.hist m.profil in
       {
-        Gmon.Epoch.e_lowpc = h.Gmon.h_lowpc;
-        e_highpc = h.Gmon.h_highpc;
-        e_bucket_size = h.Gmon.h_bucket_size;
+        Gmon.Epoch.e_lowpc = 0;
+        e_highpc = Array.length m.text;
+        e_bucket_size = m.config.hist_bucket_size;
         e_ticks_per_second = m.config.ticks_per_second;
         e_cycles_per_tick = m.config.cycles_per_tick;
         e_epochs = List.rev_append es.ep_entries trailing;

@@ -34,17 +34,6 @@ type config = {
   stack_capacity : int option;
       (** distinct-stack bound for the interning sample buffer;
           [None] = the sampler's default (4096) *)
-  count_instructions : bool;
-      (** report the exact per-address execution counts
-          ({!instruction_counts}, which drive the annotated-source
-          listing); free of simulated-cycle cost, like a hardware trace
-          unit *)
-  metrics : bool;
-      (** report the self-observability counters (instructions
-          executed, dispatch-group breakdown); free of simulated-cycle
-          cost. The loop keeps the per-address counts both settings
-          read whether or not either is set, so neither costs host time
-          (bench [t-obs] measures the difference) *)
   tick_jitter : float;
       (** 0 = strictly periodic ticks; q > 0 randomizes each interval
           uniformly within ±q/2 of its length, modelling an imperfect
@@ -67,8 +56,8 @@ type config = {
 
 val default_config : config
 (** 16666 cycles/tick, 60 ticks/s, bucket size 1, [Site_primary],
-    metrics on, no oracle, no stack sampling, no jitter, seed 1,
-    max_cycles [None], depth 100000. *)
+    no oracle, no stack sampling, no jitter, seed 1, max_cycles
+    [None], depth 100000. *)
 
 type fault = { fault_pc : int; reason : string }
 
@@ -111,8 +100,6 @@ val create : ?config:config -> Objcode.Objfile.t -> t
     code, with the verifier's located message: ["Machine.create: main+2
     (pc 77): operand stack underflow"]. *)
 
-val obj : t -> Objcode.Objfile.t
-
 val step : t -> status
 (** Execute one instruction (and any clock ticks it completes). *)
 
@@ -141,9 +128,10 @@ val result : t -> int option
 val pcounts : t -> int array
 (** The prof-style per-function counters, indexed by symbol id. *)
 
-val instruction_counts : t -> int array option
-(** Exact execution count per text address, when
-    [count_instructions] was configured. *)
+val instruction_counts : t -> int array
+(** Exact execution count per text address (a copy), the input of the
+    annotated-source listing. Every run keeps these counts, free of
+    simulated-cycle cost, like a hardware trace unit. *)
 
 val call_stack : t -> int array
 (** Entry addresses of the live frames, root first. *)
@@ -155,12 +143,12 @@ val mcount_cycles : t -> int
 
 val instructions_executed : t -> int
 (** Instructions dispatched so far, summed from the per-address
-    execution counts the [metrics] keep; 0 when [metrics] is off. *)
+    execution counts. *)
 
 val dispatch_counts : t -> (string * int) list
 (** Execution count per {!Objcode.Instr.group}, as
-    [(group name, count)] in group order; all zero when [metrics] is
-    off. *)
+    [(group name, count)] in group order, summed from the per-address
+    execution counts. *)
 
 val observe : t -> Obs.Metrics.t -> unit
 (** Publish the machine's execution metrics ([vm.*]) and its

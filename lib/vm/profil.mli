@@ -21,8 +21,9 @@ val enable : t -> unit
 val disable : t -> unit
 
 val sample : t -> pc:int -> unit
-(** Record one clock tick observed at [pc]. No-op when disabled; a
-    [pc] outside the covered range is not counted but is tallied in
+(** Record one clock tick observed at [pc]; allocates nothing, so a
+    clock of any rate costs the host no garbage. No-op when disabled;
+    a [pc] outside the covered range is not counted but is tallied in
     {!overflow}. *)
 
 val ticks : t -> int

@@ -5,13 +5,10 @@
    how many samples hit it — the folded representation every consumer
    (sprof container, flame export, stackprof) wants anyway. *)
 
-type slot = { sl_id : int; sl_stack : int array; mutable sl_count : int }
-
 type t = {
   interval : int;
   capacity : int;
-  tbl : (int array, slot) Hashtbl.t;
-  mutable next_id : int;
+  tbl : (int array, int ref) Hashtbl.t; (* stack -> samples of it *)
   mutable tick : int;
   mutable taken : int;
   mutable skipped : int;
@@ -38,7 +35,6 @@ let create ?(capacity = default_capacity) ~interval () =
     interval;
     capacity;
     tbl = Hashtbl.create 256;
-    next_id = 0;
     tick = 0;
     taken = 0;
     skipped = 0;
@@ -58,8 +54,8 @@ let on_tick t ~stack =
   else begin
     let depth = Array.length stack in
     (match Hashtbl.find_opt t.tbl stack with
-    | Some slot ->
-      slot.sl_count <- slot.sl_count + 1;
+    | Some n ->
+      incr n;
       t.taken <- t.taken + 1;
       if depth > t.max_depth then t.max_depth <- depth;
       Obs.Metrics.observe m_depth depth
@@ -70,10 +66,7 @@ let on_tick t ~stack =
            so the cost below is still charged. *)
         t.skipped <- t.skipped + 1
       else begin
-        let slot = { sl_id = t.next_id; sl_stack = Array.copy stack;
-                     sl_count = 1 } in
-        t.next_id <- t.next_id + 1;
-        Hashtbl.replace t.tbl slot.sl_stack slot;
+        Hashtbl.replace t.tbl (Array.copy stack) (ref 1);
         t.taken <- t.taken + 1;
         if depth > t.max_depth then t.max_depth <- depth;
         Obs.Metrics.observe m_depth depth
@@ -82,11 +75,8 @@ let on_tick t ~stack =
   end
 
 let folded t =
-  Hashtbl.fold (fun _ s acc -> (s.sl_stack, s.sl_count) :: acc) t.tbl []
+  Hashtbl.fold (fun stack n acc -> (stack, !n) :: acc) t.tbl []
   |> List.sort (fun (a, _) (b, _) -> Gmon.Sprof.compare_stack a b)
-
-let id_of_stack t stack =
-  Option.map (fun s -> s.sl_id) (Hashtbl.find_opt t.tbl stack)
 
 let n_samples t = t.taken
 
@@ -108,7 +98,6 @@ let observe t reg =
 
 let reset t =
   Hashtbl.reset t.tbl;
-  t.next_id <- 0;
   t.tick <- 0;
   t.taken <- 0;
   t.skipped <- 0;

@@ -10,7 +10,7 @@
     chain of function entry addresses, root first, leaf last.
 
     Long runs revisit the same few hundred stacks, so the buffer
-    interns: each distinct stack is hashed once to a stack id and kept
+    interns: each distinct stack is stored once, keyed by its frames,
     with a sample count, giving bounded memory and the folded
     representation downstream consumers ({!Stacksample.Stackprof}, the
     sprof container, flame export) want directly. When the intern
@@ -42,10 +42,6 @@ val folded : t -> (int array * int) list
 (** The interned stacks with their sample counts, in canonical order
     (lexicographic by frame addresses, shorter stack first on a shared
     prefix). Arrays are the live interned keys — treat as read-only. *)
-
-val id_of_stack : t -> int array -> int option
-(** The intern id assigned to a stack (ids count up from 0 in first-
-    seen order), or [None] if it was never retained. *)
 
 val n_samples : t -> int
 (** Samples retained (sum of all counts). *)

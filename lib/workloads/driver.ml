@@ -27,6 +27,3 @@ let analyze ?options ?config ?(report = Gprof_core.Report.default_options) w =
     match Gprof_core.Report.analyze ~options:report r.objfile r.gmon with
     | Error e -> Error (Printf.sprintf "%s: analyze: %s" w.Programs.w_name e)
     | Ok rep -> Ok (rep, r))
-
-let measure_cycles ?options ?config w =
-  Result.map (fun r -> Vm.Machine.cycles r.machine) (run ?options ?config w)

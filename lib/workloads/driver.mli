@@ -26,10 +26,3 @@ val analyze :
   Programs.t ->
   (Gprof_core.Report.t * run, string) result
 (** [run] followed by the gprof post-processor. *)
-
-val measure_cycles :
-  ?options:Compile.Codegen.options ->
-  ?config:Vm.Machine.config ->
-  Programs.t ->
-  (int, string) result
-(** Total simulated cycles for one complete run. *)

@@ -110,6 +110,4 @@ let gmon =
     runs = 1;
   }
 
-let static_example_sub3 = ("EXAMPLE", "SUB3")
-
 let expected_total_seconds = 506.0 /. 60.0

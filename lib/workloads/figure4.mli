@@ -20,9 +20,5 @@ val gmon : Gmon.t
     records as in the figure (the EXAMPLE -> SUB3 arc is static only
     and absent here). *)
 
-val static_example_sub3 : string * string
-(** The (caller, callee) names of the arc that exists only in the
-    static call graph. *)
-
 val expected_total_seconds : float
 (** 506 / 60. *)

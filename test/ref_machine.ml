@@ -19,8 +19,6 @@ type config = Vm.Machine.config = {
   oracle : bool;
   stack_interval : int option;
   stack_capacity : int option;
-  count_instructions : bool;
-  metrics : bool;
   tick_jitter : float;
   seed : int;
   max_cycles : int option;
@@ -38,8 +36,6 @@ let default_config =
     oracle = false;
     stack_interval = None;
     stack_capacity = None;
-    count_instructions = false;
-    metrics = true;
     tick_jitter = 0.0;
     seed = 1;
     max_cycles = None;
@@ -92,20 +88,19 @@ type t = {
   pcounts : int array;
   oracle : Oracle.t option;
   sampler : Stacksamp.t option;
-  icounts : int array option;
+  icounts : int array;
   mutable n_instr : int;
   dispatch : int array; (* per Instr.group execution counts *)
   groups : int array;
       (* Instr.group of every text word, precomputed at creation so
-         the metrics-on hot path is two array bumps, not a re-match of
-         the constructor per step. Empty when metrics are off. *)
+         the hot path is two array bumps, not a re-match of the
+         constructor per step. *)
   prng : Util.Prng.t;
   out : Buffer.t;
   mutable status : status;
   mutable result : int option;
   mutable fault_countdown : int option;
-      (* decremented per instruction independently of the metrics
-         counters, so injection works with metrics off *)
+      (* decremented per instruction *)
   epochs : epoch_state option;
 }
 
@@ -140,12 +135,10 @@ let create ?(config = default_config) o =
           (fun i ->
             Stacksamp.create ?capacity:config.stack_capacity ~interval:i ())
           config.stack_interval;
-      icounts =
-        (if config.count_instructions then Some (Array.make text_size 0) else None);
+      icounts = Array.make text_size 0;
       n_instr = 0;
       dispatch = Array.make Instr.n_groups 0;
-      groups =
-        (if config.metrics then Array.map Instr.group o.Objfile.text else [||]);
+      groups = Array.map Instr.group o.Objfile.text;
       prng = Util.Prng.create config.seed;
       out = Buffer.create 256;
       status = Running;
@@ -178,7 +171,6 @@ let create ?(config = default_config) o =
   | None -> ());
   m
 
-let obj m = m.o
 let status m = m.status
 let cycles m = m.cycles
 let ticks m = m.n_ticks
@@ -186,7 +178,7 @@ let output m = Buffer.contents m.out
 let result m = m.result
 let pcounts m = Array.copy m.pcounts
 
-let instruction_counts m = Option.map Array.copy m.icounts
+let instruction_counts m = Array.copy m.icounts
 let monitor m = m.monitor
 let mcount_cycles m = m.mcount_cycles
 let the_oracle m = m.oracle
@@ -454,14 +446,10 @@ let step m =
         | Some n when n <= 0 -> raise (Fault injected_fault_reason)
         | Some n -> m.fault_countdown <- Some (n - 1)
         | None -> ());
-        (match m.icounts with
-        | Some counts -> counts.(at_pc) <- counts.(at_pc) + 1
-        | None -> ());
-        if m.config.metrics then begin
-          m.n_instr <- m.n_instr + 1;
-          let grp = m.groups.(at_pc) in
-          m.dispatch.(grp) <- m.dispatch.(grp) + 1
-        end;
+        m.icounts.(at_pc) <- m.icounts.(at_pc) + 1;
+        m.n_instr <- m.n_instr + 1;
+        let grp = m.groups.(at_pc) in
+        m.dispatch.(grp) <- m.dispatch.(grp) + 1;
         m.cycles <- m.cycles + Instr.cost ins;
         (match m.config.max_cycles with
         | Some limit when m.cycles > limit -> raise (Fault "cycle limit exceeded")

@@ -38,12 +38,9 @@ let compile ?(options = Compile.Codegen.profiling_options) () =
   | Ok o -> o
   | Error e -> Alcotest.failf "compile: %s" e
 
-let run_counting o =
-  let m =
-    Vm.Machine.create
-      ~config:{ Vm.Machine.default_config with count_instructions = true }
-      o
-  in
+(* A default machine: every run keeps its exact instruction counts. *)
+let run_default o =
+  let m = Vm.Machine.create o in
   (match Vm.Machine.run m with
   | Vm.Machine.Halted -> ()
   | _ -> Alcotest.fail "did not halt");
@@ -96,8 +93,8 @@ let test_line_table_roundtrips () =
 
 let test_instruction_counts () =
   let o = compile () in
-  let m = run_counting o in
-  let counts = Option.get (Vm.Machine.instruction_counts m) in
+  let m = run_default o in
+  let counts = Vm.Machine.instruction_counts m in
   (* hot's entry (the mcount instruction) runs once per call. *)
   let hot = Option.get (Objcode.Objfile.symbol_by_name o "hot") in
   check_int "hot entered 2000 times" 2000 counts.(hot.addr);
@@ -105,19 +102,14 @@ let test_instruction_counts () =
   check_int "cold entered once" 1 counts.(cold.addr);
   (* total executed instructions bounded by cycles *)
   let total = Array.fold_left ( + ) 0 counts in
+  check_int "counts sum to the instructions executed"
+    (Vm.Machine.instructions_executed m) total;
   check_bool "cycles exceed instruction count" true (Vm.Machine.cycles m >= total)
-
-let test_counts_disabled_by_default () =
-  let o = compile () in
-  let m = Vm.Machine.create o in
-  ignore (Vm.Machine.run m);
-  check_bool "no counts unless configured" true
-    (Vm.Machine.instruction_counts m = None)
 
 let test_icount_roundtrip () =
   let o = compile () in
-  let m = run_counting o in
-  let ic = Gmon.Icount.of_counts (Option.get (Vm.Machine.instruction_counts m)) in
+  let m = run_default o in
+  let ic = Gmon.Icount.of_counts (Vm.Machine.instruction_counts m) in
   (match Gmon.Icount.of_bytes (Gmon.Icount.to_bytes ic) with
   | Ok ic2 -> check_bool "roundtrip" true (Gmon.Icount.equal ic ic2)
   | Error e -> Alcotest.fail e);
@@ -162,9 +154,9 @@ let icount_roundtrip_prop =
 
 let annotate () =
   let o = compile () in
-  let m = run_counting o in
+  let m = run_default o in
   let gmon = Vm.Machine.profile m in
-  let ic = Gmon.Icount.of_counts (Option.get (Vm.Machine.instruction_counts m)) in
+  let ic = Gmon.Icount.of_counts (Vm.Machine.instruction_counts m) in
   match Gprof_core.Annotate.analyze ~icounts:ic ~source o gmon with
   | Ok t -> t
   | Error e -> Alcotest.failf "annotate: %s" e
@@ -228,7 +220,7 @@ let test_annotate_rejects_foreign_counts () =
 let test_annotate_tick_conservation () =
   let t = annotate () in
   let o = compile () in
-  let m = run_counting o in
+  let m = run_default o in
   let gmon = Vm.Machine.profile m in
   check_bool "annotated ticks equal histogram ticks" true
     (abs_float (t.total_ticks -. float_of_int (Gmon.total_ticks gmon)) < 1e-6)
@@ -246,7 +238,6 @@ let () =
       ( "icount",
         [
           Alcotest.test_case "exact counts" `Quick test_instruction_counts;
-          Alcotest.test_case "off by default" `Quick test_counts_disabled_by_default;
           Alcotest.test_case "roundtrip" `Quick test_icount_roundtrip;
           Alcotest.test_case "merge and errors" `Quick test_icount_merge_and_errors;
           qt icount_roundtrip_prop;

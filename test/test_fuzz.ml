@@ -323,7 +323,7 @@ type outcome = {
   result : int option;
   output : string;
   gmon : string;
-  icounts : int array option;
+  icounts : int array;
   pcounts : int array;
   cycles : int;
   ticks : int;
@@ -353,7 +353,7 @@ module Observe (M : sig
   val result : t -> int option
   val output : t -> string
   val profile : t -> Gmon.t
-  val instruction_counts : t -> int array option
+  val instruction_counts : t -> int array
   val pcounts : t -> int array
   val instructions_executed : t -> int
   val dispatch_counts : t -> (string * int) list
@@ -437,9 +437,9 @@ let check_parity drive config o =
   | None -> true
   | Some e -> QCheck.Test.fail_report e
 
-(* Every knob the dispatch loop treats specially: instruction counts,
-   stack sampling, jittered ticks, epochs, the injected fault, the
-   cycle cap, keying, bucket size, metrics and oracle on or off. A
+(* Every knob the dispatch loop treats specially: stack sampling,
+   jittered ticks, epochs, the injected fault, the cycle cap, keying,
+   bucket size, and the oracle on or off. A
    clock of 1 or 7 cycles per tick, or run_cycles slices under 50
    cycles, put a horizon on nearly every instruction; those runs keep
    the 40,000-cycle cap. On those clocks a stack walk outlasts a tick,
@@ -449,8 +449,6 @@ let config_gen =
     let* cycles_per_tick = oneofl [ 1; 7; 97; 1_000; 16_666 ] in
     let* hist_bucket_size = oneofl [ 1; 4 ] in
     let* keying = oneofl Vm.Monitor.[ Site_primary; Callee_primary ] in
-    let* count_instructions = bool in
-    let* metrics = bool in
     let* oracle = bool in
     let* stack_interval = opt (int_range 1 3) in
     let* tick_jitter = oneofl [ 0.0; 0.3 ] in
@@ -471,9 +469,8 @@ let config_gen =
     in
     return
       ( { Vm.Machine.default_config with
-          cycles_per_tick; hist_bucket_size; keying; count_instructions; metrics;
-          oracle; stack_interval; tick_jitter; seed; max_cycles; max_depth;
-          fault_after_instr; epoch_ticks },
+          cycles_per_tick; hist_bucket_size; keying; oracle; stack_interval;
+          tick_jitter; seed; max_cycles; max_depth; fault_after_instr; epoch_ticks },
         drive ))
 
 let print_config ((c : Vm.Machine.config), drive) =
@@ -485,13 +482,11 @@ let print_config ((c : Vm.Machine.config), drive) =
     | Steps -> "step"
   in
   Printf.sprintf
-    "cpt=%d bucket=%d callee=%b icounts=%b metrics=%b oracle=%b stack=%s \
-     jitter=%g seed=%d max_cycles=%s max_depth=%d fault_after=%s epochs=%s \
-     drive=%s"
+    "cpt=%d bucket=%d callee=%b oracle=%b stack=%s jitter=%g seed=%d \
+     max_cycles=%s max_depth=%d fault_after=%s epochs=%s drive=%s"
     c.cycles_per_tick c.hist_bucket_size (c.keying = Vm.Monitor.Callee_primary)
-    c.count_instructions c.metrics c.oracle (opt c.stack_interval) c.tick_jitter
-    c.seed (opt c.max_cycles) c.max_depth (opt c.fault_after_instr)
-    (opt c.epoch_ticks) drive
+    c.oracle (opt c.stack_interval) c.tick_jitter c.seed (opt c.max_cycles)
+    c.max_depth (opt c.fault_after_instr) (opt c.epoch_ticks) drive
 
 (* The four builds the repository emits: plain, -pg, prof counters,
    and constant-folded. *)

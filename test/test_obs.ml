@@ -188,21 +188,6 @@ let test_histogram () =
     (try Obs.Metrics.set_snapshot h ~buckets:[| 1; 2 |] ~count:3 ~sum:3 ~max:2; false
      with Invalid_argument _ -> true)
 
-let test_disabled_registry () =
-  let r = Obs.Metrics.create () in
-  let c = Obs.Metrics.counter r "c" and g = Obs.Metrics.gauge r "g" in
-  let h = Obs.Metrics.histogram r "h" in
-  Obs.Metrics.set_enabled r false;
-  Obs.Metrics.incr c;
-  Obs.Metrics.set g 5;
-  Obs.Metrics.observe h 5;
-  check_int "counter untouched" 0 (Obs.Metrics.counter_value c);
-  check_int "gauge untouched" 0 (Obs.Metrics.gauge_value g);
-  check_int "histogram untouched" 0 (Obs.Metrics.hist_count h);
-  Obs.Metrics.set_enabled r true;
-  Obs.Metrics.incr c;
-  check_int "mutations resume" 1 (Obs.Metrics.counter_value c)
-
 let test_reset_keeps_registrations () =
   let r = Obs.Metrics.create () in
   let c = Obs.Metrics.counter r "c" in
@@ -670,7 +655,6 @@ let () =
           Alcotest.test_case "counter and gauge" `Quick test_counter_gauge;
           Alcotest.test_case "kind mismatch" `Quick test_kind_mismatch_raises;
           Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "disabled registry" `Quick test_disabled_registry;
           Alcotest.test_case "reset" `Quick test_reset_keeps_registrations;
           Alcotest.test_case "dump and json export" `Quick test_metrics_export;
         ] );

@@ -105,6 +105,47 @@ let test_profcounts_errors () =
       "PROFCOUNTS 1\nbusy -1\nlight 1\nmain 1";
     ]
 
+(* Two routines named [f], as an object may hold: each keeps its own
+   count, the k-th [f] line belonging to the k-th routine named f. *)
+let test_profcounts_duplicate_names () =
+  let open Objcode.Instr in
+  let o =
+    {
+      Objcode.Objfile.text =
+        [| Pcount 0; Enter 0; Const 1; Ret;
+           Pcount 1; Enter 0; Const 2; Ret;
+           Pcount 2; Enter 0; Call (0, 0); Pop; Call (4, 0); Pop; Const 0; Ret |];
+      symbols =
+        [|
+          { Objcode.Objfile.name = "f"; addr = 0; size = 4; profiled = false };
+          { Objcode.Objfile.name = "f"; addr = 4; size = 4; profiled = false };
+          { Objcode.Objfile.name = "main"; addr = 8; size = 8; profiled = false };
+        |];
+      entry = 8;
+      globals = [||];
+      global_init = [||];
+      arrays = [||];
+      lines = [||];
+      source_name = "twof";
+    }
+  in
+  let counts = [| 3; 4; 1 |] in
+  let text = Profbase.Profcounts.to_string o counts in
+  Alcotest.(check string) "one line per routine, in symbol order"
+    "PROFCOUNTS 1\nf 3\nf 4\nmain 1\n" text;
+  (match Profbase.Profcounts.of_string o text with
+  | Ok c2 -> Alcotest.(check (array int)) "roundtrip" counts c2
+  | Error e -> Alcotest.fail e);
+  (match Profbase.Profcounts.of_string o "PROFCOUNTS 1\nmain 1\nf 3\nf 4\n" with
+  | Ok c2 -> Alcotest.(check (array int)) "names in any order" counts c2
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (result (array int) string)) "a third f is a duplicate"
+    (Error "duplicate entry for f")
+    (Profbase.Profcounts.of_string o "PROFCOUNTS 1\nf 3\nf 4\nf 5\nmain 1\n");
+  Alcotest.(check (result (array int) string)) "one f short"
+    (Error "missing count for f")
+    (Profbase.Profcounts.of_string o "PROFCOUNTS 1\nf 3\nmain 1\n")
+
 (* prof vs gprof on the abstraction-spreading workload: both see the
    same self times; only gprof recovers inclusive cost. *)
 let test_prof_vs_gprof_agree_on_self () =
@@ -140,5 +181,6 @@ let () =
           Alcotest.test_case "string roundtrip" `Quick test_profcounts_roundtrip;
           Alcotest.test_case "file roundtrip" `Quick test_profcounts_file_roundtrip;
           Alcotest.test_case "errors" `Quick test_profcounts_errors;
+          Alcotest.test_case "duplicate names" `Quick test_profcounts_duplicate_names;
         ] );
     ]

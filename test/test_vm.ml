@@ -764,6 +764,20 @@ let test_stack_read_only_when_due () =
   if extra >= 0.1 then
     Alcotest.failf "the sampler allocates %.3f more minor words per tick" extra
 
+(* The clock tick itself (histogram, collision tracking, the horizon
+   reset) allocates nothing, so a 1-cycle clock with no sampler runs
+   allocation-free apart from the arc table's new chain cells. *)
+let test_tick_allocates_nothing () =
+  let o = compile_src looping_src in
+  let m =
+    Vm.Machine.create ~config:{ Vm.Machine.default_config with cycles_per_tick = 1 } o
+  in
+  let before = Gc.minor_words () in
+  check_bool "halts" true (Vm.Machine.run m = Vm.Machine.Halted);
+  let words = (Gc.minor_words () -. before) /. float_of_int (Vm.Machine.ticks m) in
+  check_bool "one tick per cycle" true (Vm.Machine.ticks m = Vm.Machine.cycles m);
+  if words >= 0.1 then Alcotest.failf "a tick allocates %.3f minor words" words
+
 let test_jitter_determinism_and_effect () =
   let o = compile_src looping_src in
   let run seed jitter =
@@ -909,6 +923,7 @@ let () =
             test_stack_walks_dearer_than_a_tick;
           Alcotest.test_case "stack read only when a sample is due" `Quick
             test_stack_read_only_when_due;
+          Alcotest.test_case "a tick allocates nothing" `Quick test_tick_allocates_nothing;
           Alcotest.test_case "jitter" `Quick test_jitter_determinism_and_effect;
           Alcotest.test_case "oracle totals" `Quick test_oracle_matches_machine_totals;
         ] );
