@@ -97,13 +97,13 @@ let t_hash () =
 let bench_core () =
   let prng = Util.Prng.create 7 in
   let n = 2000 in
-  let g = Graphlib.Digraph.create n in
-  for _ = 1 to 8000 do
-    Graphlib.Digraph.add_arc g
-      ~src:(Util.Prng.int prng n)
-      ~dst:(Util.Prng.int prng n)
-      ~count:(1 + Util.Prng.int prng 50)
-  done;
+  let g =
+    Graphlib.Digraph.of_arcs ~n
+      (List.init 8000 (fun _ ->
+           let src = Util.Prng.int prng n in
+           let dst = Util.Prng.int prng n in
+           (src, dst, 1 + Util.Prng.int prng 50)))
+  in
   let o = (run_workload Workloads.Programs.codegen).objfile in
   let gmon = (run_workload Workloads.Programs.codegen).gmon in
   let vm_obj =

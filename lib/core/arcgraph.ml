@@ -1,5 +1,7 @@
+module Digraph = Graphlib.Digraph
+
 type t = {
-  graph : Graphlib.Digraph.t;
+  graph : Digraph.t;
   spontaneous : (int * int) list;
   dynamic_arcs : (int * int) list;
   dropped : int;
@@ -11,21 +13,15 @@ let build ?(static = []) ?unknown st (arcs : Gmon.arc list) =
     ~args:[ ("arcs", string_of_int (List.length arcs)) ]
   @@ fun () ->
   let n = Symtab.n_funcs st in
-  let g = Graphlib.Digraph.create n in
-  let spont = Hashtbl.create 8 in
-  let dynamic = Hashtbl.create 64 in
+  (* calls into each routine from no routine; -1 where no record says so *)
+  let spont = Array.make n (-1) in
+  let dynamic = ref [] in
   let dropped = ref 0 in
   let folded = ref 0 in
-  let add_spont callee count =
-    let prev = Option.value ~default:0 (Hashtbl.find_opt spont callee) in
-    Hashtbl.replace spont callee (prev + count)
-  in
   let record caller_pc callee count =
     match Symtab.id_of_pc st caller_pc with
-    | Some caller ->
-      Graphlib.Digraph.add_arc g ~src:caller ~dst:callee ~count;
-      Hashtbl.replace dynamic (caller, callee) ()
-    | None -> add_spont callee count
+    | Some caller -> dynamic := (caller, callee, count) :: !dynamic
+    | None -> spont.(callee) <- Int.max 0 spont.(callee) + count
   in
   List.iter
     (fun (a : Gmon.arc) ->
@@ -42,19 +38,31 @@ let build ?(static = []) ?unknown st (arcs : Gmon.arc list) =
           record a.a_from u a.a_count
         | None -> incr dropped))
     arcs;
+  (* a static arc adds count 0, so it only completes the structure *)
+  let g =
+    Digraph.of_arcs ~n
+      (List.fold_left
+         (fun acc (src, dst) ->
+           if src >= 0 && src < n && dst >= 0 && dst < n then (src, dst, 0) :: acc
+           else acc)
+         !dynamic static)
+  in
+  let named = Array.make (Digraph.n_arcs g) false in
   List.iter
-    (fun (src, dst) ->
-      if src >= 0 && src < n && dst >= 0 && dst < n then
-        if not (Graphlib.Digraph.mem_arc g ~src ~dst) then
-          Graphlib.Digraph.add_arc g ~src ~dst ~count:0)
-    static;
+    (fun (src, dst, _) -> named.(Option.get (Digraph.arc_index g ~src ~dst)) <- true)
+    !dynamic;
+  let dynamic_arcs = ref [] and spontaneous = ref [] in
+  for src = n - 1 downto 0 do
+    for j = g.succ_off.(src + 1) - 1 downto g.succ_off.(src) do
+      if named.(j) then dynamic_arcs := (src, g.succ_dst.(j)) :: !dynamic_arcs
+    done;
+    if spont.(src) >= 0 then spontaneous := (src, spont.(src)) :: !spontaneous
+  done;
   let t =
     {
       graph = g;
-      spontaneous =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) spont [] |> List.sort compare;
-      dynamic_arcs =
-        Hashtbl.fold (fun k () acc -> k :: acc) dynamic [] |> List.sort compare;
+      spontaneous = !spontaneous;
+      dynamic_arcs = !dynamic_arcs;
       dropped = !dropped;
       folded = !folded;
     }
@@ -69,13 +77,23 @@ let build ?(static = []) ?unknown st (arcs : Gmon.arc list) =
 let remove_arcs t = function
   | [] -> t
   | arcs ->
-    let g = Graphlib.Digraph.copy t.graph in
-    List.iter (fun (src, dst) -> Graphlib.Digraph.remove_arc g ~src ~dst) arcs;
-    let removed = Hashtbl.create 8 in
-    List.iter (fun a -> Hashtbl.replace removed a ()) arcs;
+    let g = t.graph in
+    let removed = Array.make (Digraph.n_arcs g) false in
+    List.iter
+      (fun (src, dst) ->
+        Option.iter (fun j -> removed.(j) <- true) (Digraph.arc_index g ~src ~dst))
+      arcs;
+    let kept = ref [] in
+    for src = g.n - 1 downto 0 do
+      for j = g.succ_off.(src + 1) - 1 downto g.succ_off.(src) do
+        if not removed.(j) then kept := (src, g.succ_dst.(j), g.succ_count.(j)) :: !kept
+      done
+    done;
     {
       t with
-      graph = g;
+      graph = Digraph.of_arcs ~n:g.n !kept;
       dynamic_arcs =
-        List.filter (fun a -> not (Hashtbl.mem removed a)) t.dynamic_arcs;
+        List.filter
+          (fun (src, dst) -> not removed.(Option.get (Digraph.arc_index g ~src ~dst)))
+          t.dynamic_arcs;
     }

@@ -31,14 +31,16 @@ type t = {
 
 val build :
   ?static:(int * int) list -> ?unknown:int -> Symtab.t -> Gmon.arc list -> t
-(** [static] lists (caller id, callee id) pairs to add with count 0
-    when absent from the dynamic graph. [unknown], when given, is the
-    synthetic function id that absorbs arc records whose callee is no
-    routine entry, instead of dropping them. *)
+(** Resolves the records, then builds the graph once with
+    {!Graphlib.Digraph.of_arcs}. [static] lists (caller id, callee id)
+    pairs that go in with count 0, which adds an arc only where the
+    profile has none; pairs out of range are ignored. [unknown], when
+    given, is the synthetic function id that absorbs arc records whose
+    callee is no routine entry, instead of dropping them. *)
 
 val remove_arcs :
   t -> (int * int) list -> t
 (** Remove the given (caller id, callee id) arcs — the analysis-side
-    arc deletion option. Spontaneous records are unaffected. The
-    result shares nothing mutable with the input, except that removing
-    no arcs returns the input itself. *)
+    arc deletion option — by building the graph again from the arcs
+    that remain. Spontaneous records are unaffected. Removing no arcs
+    returns the input itself. *)

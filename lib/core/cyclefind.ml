@@ -1,5 +1,5 @@
 type t = {
-  cond : Graphlib.Condense.t;
+  scc : Graphlib.Tarjan.result;
   cycle_no : int array;
   n_cycles : int;
   members : int list array;
@@ -7,15 +7,15 @@ type t = {
 
 let find g =
   Obs.Trace.with_span ~cat:"core" "cyclefind" @@ fun () ->
-  let cond = Graphlib.Condense.condense g in
+  let scc = Graphlib.Tarjan.scc g in
   let n = Graphlib.Digraph.n_nodes g in
   let cycle_no = Array.make n 0 in
   let members = ref [] in
   let n_cycles = ref 0 in
   (* Component ids ascend leaves-first; visiting them in order numbers
      cycles the same way. *)
-  for c = 0 to cond.scc.n_components - 1 do
-    match cond.scc.members.(c) with
+  for c = 0 to scc.n_components - 1 do
+    match scc.members.(c) with
     | _ :: _ :: _ as ms ->
       incr n_cycles;
       let no = !n_cycles in
@@ -24,10 +24,8 @@ let find g =
     | _ -> ()
   done;
   {
-    cond;
+    scc;
     cycle_no;
     n_cycles = !n_cycles;
     members = Array.of_list (List.rev !members);
   }
-
-let comp_of t v = t.cond.scc.component.(v)

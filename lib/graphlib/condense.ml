@@ -6,15 +6,18 @@ type t = {
 
 let condense g =
   let scc = Tarjan.scc g in
-  let cg = Digraph.create scc.n_components in
-  let internal = ref [] in
+  let between = ref [] and internal = ref [] in
   Digraph.iter_arcs
     (fun ~src ~dst ~count ->
       let cs = scc.component.(src) and cd = scc.component.(dst) in
       if cs = cd then internal := (src, dst, count) :: !internal
-      else Digraph.add_arc cg ~src:cs ~dst:cd ~count)
+      else between := (cs, cd, count) :: !between)
     g;
-  { graph = cg; scc; internal_arcs = List.rev !internal }
+  {
+    graph = Digraph.of_arcs ~n:scc.n_components !between;
+    scc;
+    internal_arcs = List.rev !internal;
+  }
 
 let component_of t v = t.scc.component.(v)
 

@@ -3,9 +3,10 @@
    and it never prevents topological numbering of the condensation. *)
 
 let without g removed =
-  let h = Digraph.copy g in
-  List.iter (fun (src, dst) -> Digraph.remove_arc h ~src ~dst) removed;
-  h
+  Digraph.of_arcs ~n:(Digraph.n_nodes g)
+    (List.filter
+       (fun (src, dst, _) -> not (List.mem (src, dst) removed))
+       (Digraph.arcs g))
 
 let nontrivial_components g =
   let r = Tarjan.scc g in
@@ -46,9 +47,7 @@ let exact g ~bound =
       let rec try_each = function
         | [] -> ()
         | ((_, src, dst) as a) :: rest ->
-          let g' = Digraph.copy g in
-          Digraph.remove_arc g' ~src ~dst;
-          search g' (a :: chosen) (size_left - 1) rest best;
+          search (without g [ (src, dst) ]) (a :: chosen) (size_left - 1) rest best;
           try_each rest
       in
       try_each candidates
@@ -68,14 +67,12 @@ let exact g ~bound =
 
 let greedy g ~bound =
   if bound < 0 then invalid_arg "Feedback.greedy: negative bound";
-  let g = Digraph.copy g in
-  let removed = ref [] in
-  let continue = ref true in
-  while !continue && List.length !removed < bound do
-    match cycle_arcs g with
-    | [] -> continue := false
-    | (_, src, dst) :: _ ->
-      Digraph.remove_arc g ~src ~dst;
-      removed := (src, dst) :: !removed
-  done;
-  List.rev !removed
+  let rec go g removed k =
+    if k >= bound then List.rev removed
+    else
+      match cycle_arcs g with
+      | [] -> List.rev removed
+      | (_, src, dst) :: _ ->
+        go (without g [ (src, dst) ]) ((src, dst) :: removed) (k + 1)
+  in
+  go g [] 0

@@ -4,55 +4,64 @@ type result = {
   members : int list array;
 }
 
-(* Iterative Tarjan. Components are emitted in reverse topological
-   order of the condensation: a component is complete only after every
-   component it can reach has been emitted. Numbering components in
-   emission order therefore gives leaves the smallest numbers, which is
-   the numbering the paper's propagation phase wants. *)
-let scc g =
-  let n = Digraph.n_nodes g in
+(* Iterative Tarjan over the successor slices, with its stacks in
+   arrays. Components are emitted in reverse topological order of the
+   condensation: a component is complete only after every component it
+   can reach has been emitted. Numbering components in emission order
+   therefore gives leaves the smallest numbers, which is the numbering
+   the paper's propagation phase wants. *)
+let scc (g : Digraph.t) =
+  let n = g.n in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
   let on_stack = Array.make n false in
   let comp = Array.make n (-1) in
-  let stack = Stack.create () in
+  let stack = Array.make n 0 and sp = ref 0 in
+  (* DFS frames: a node and the position of its next successor *)
+  let frame_node = Array.make n 0 and frame_pos = Array.make n 0 and fp = ref 0 in
   let next_index = ref 0 in
   let next_comp = ref 0 in
-  (* Explicit DFS frames: (node, remaining successors). *)
-  let frames = Stack.create () in
   let start v =
     index.(v) <- !next_index;
     lowlink.(v) <- !next_index;
     incr next_index;
-    Stack.push v stack;
+    stack.(!sp) <- v;
+    incr sp;
     on_stack.(v) <- true;
-    Stack.push (v, ref (List.map fst (Digraph.succs g v))) frames
+    frame_node.(!fp) <- v;
+    frame_pos.(!fp) <- g.succ_off.(v);
+    incr fp
   in
   for root = 0 to n - 1 do
     if index.(root) < 0 then begin
       start root;
-      while not (Stack.is_empty frames) do
-        let v, rest = Stack.top frames in
-        match !rest with
-        | w :: tl ->
-          rest := tl;
+      while !fp > 0 do
+        let top = !fp - 1 in
+        let v = frame_node.(top) and pos = frame_pos.(top) in
+        if pos < g.succ_off.(v + 1) then begin
+          frame_pos.(top) <- pos + 1;
+          let w = g.succ_dst.(pos) in
           if index.(w) < 0 then start w
-          else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w)
-        | [] ->
-          ignore (Stack.pop frames);
+          else if on_stack.(w) && index.(w) < lowlink.(v) then lowlink.(v) <- index.(w)
+        end
+        else begin
+          fp := top;
           if lowlink.(v) = index.(v) then begin
             let continue = ref true in
             while !continue do
-              let w = Stack.pop stack in
+              decr sp;
+              let w = stack.(!sp) in
               on_stack.(w) <- false;
               comp.(w) <- !next_comp;
               if w = v then continue := false
             done;
             incr next_comp
           end;
-          (match Stack.top_opt frames with
-          | Some (parent, _) -> lowlink.(parent) <- min lowlink.(parent) lowlink.(v)
-          | None -> ())
+          if top > 0 then begin
+            let parent = frame_node.(top - 1) in
+            if lowlink.(v) < lowlink.(parent) then lowlink.(parent) <- lowlink.(v)
+          end
+        end
       done
     end
   done;

@@ -280,16 +280,35 @@ let rpc_once ~timeout ~socket req =
             | Error e -> Error (frame_error_to_string e)
             | Ok body -> decode_response body)))
 
-(* Capped exponential backoff with deterministic jitter: attempt k
-   sleeps min(2s, 50ms * 2^k) scaled into [0.5, 1.0) by a fixed-seed
-   PRNG, so a chaos run replays its exact schedule. *)
-let backoff_delay prng k =
-  let base = Float.min 2.0 (0.05 *. Float.pow 2.0 (float_of_int k)) in
-  base *. (0.5 +. (0.5 *. Util.Prng.float prng 1.0))
+(* Capped exponential backoff with jitter: attempt k sleeps
+   min(2s, 50ms * 2^k) scaled into [0.5, 1.0) by a PRNG seeded from
+   the request. A [Submit] with an id seeds from the id's FNV-1a hash,
+   so a replayed submission sleeps the same schedule while clients
+   answered BUSY at the same moment, holding different ids, retry
+   apart; any other request draws its seed from the process-wide id
+   stream. *)
+let backoff_schedule req n =
+  if n <= 0 then []
+  else
+    let prng =
+      Util.Prng.create
+        (Int64.to_int
+           (match req with
+           | Submit { id = Some id; _ } -> Util.Fnv.fnv1a64 id
+           | _ -> Util.Prng.next64 (Lazy.force id_rng)))
+    in
+    let rec from k =
+      if k >= n then []
+      else
+        let base = Float.min 2.0 (0.05 *. Float.pow 2.0 (float_of_int k)) in
+        let d = base *. (0.5 +. (0.5 *. Util.Prng.float prng 1.0)) in
+        d :: from (k + 1)
+    in
+    from 0
 
 let rpc ?(attempts = 1) ?(timeout = 30.0) ~socket req =
   let attempts = max 1 attempts in
-  let prng = Util.Prng.create 0x9e3779b9 in
+  let delays = Array.of_list (backoff_schedule req (attempts - 1)) in
   let sleep d = if d > 0.0 then ignore (Unix.select [] [] [] d) in
   let rec attempt k =
     let outcome = rpc_once ~timeout ~socket req in
@@ -297,10 +316,10 @@ let rpc ?(attempts = 1) ?(timeout = 30.0) ~socket req =
     match outcome with
     | Ok (Resp_busy retry_after) when not last ->
       (* the daemon is shedding load: its retry-after is the floor *)
-      sleep (Float.max retry_after (backoff_delay prng k));
+      sleep (Float.max retry_after delays.(k));
       attempt (k + 1)
     | Error _ when not last ->
-      sleep (backoff_delay prng k);
+      sleep delays.(k);
       attempt (k + 1)
     | outcome -> outcome
   in

@@ -117,14 +117,22 @@ val rpc :
   (response, string) result
 (** Connect to a daemon, send one request, read one response, close.
     [timeout] (default 30 s) bounds each attempt's IO; [attempts]
-    (default 1) adds capped exponential backoff with deterministic
-    jitter (the same schedule on every call) between attempts, retrying
-    transport failures and [Resp_busy] answers — a [Resp_busy]'s
-    [retry_after] floor is honored. Retrying a [Submit] is safe when
-    it carries an id (the daemon dedupes). The final attempt's
+    (default 1) adds capped exponential backoff with jitter between
+    attempts ({!backoff_schedule}), retrying transport failures and
+    [Resp_busy] answers — a [Resp_busy]'s [retry_after] floor is
+    honored. Retrying a [Submit] is safe when it carries an id (the
+    daemon dedupes). The final attempt's
     [Resp_busy] is returned as-is so the caller can degrade (e.g.
     spool). [Error] carries connect/transport failures; a daemon-side
     failure arrives as [Resp_err]. *)
+
+val backoff_schedule : request -> int -> float list
+(** The first [n] delays, in seconds, that {!rpc} sleeps between its
+    attempts at this request, before any [retry_after] floor. A
+    [Submit] with an id draws its jitter from the id, so the same id
+    gets the same schedule and different ids get different ones; any
+    other request gets a fresh schedule from the process-wide id
+    stream on each call. *)
 
 val wait_ready : socket:string -> timeout:float -> (unit, string) result
 (** Poll {!rpc}[ Query_stats] with bounded backoff (10 ms doubling to

@@ -399,11 +399,11 @@ let islands_runs =
        [ 1; 4 ])
 
 (* The crosscheck as a whole-histogram scan per routine and an arc-list
-   fold per routine, over a copy of the static graph with the dynamic
-   arcs added. *)
+   fold per routine, over the static graph's arcs and the dynamic ones
+   built into one graph. *)
 let brute_crosscheck (t : Analysis.Reach.t) (o : Objfile.t) (g : Gmon.t) =
   let len = Array.length o.Objfile.text in
-  let union = Graphlib.Digraph.copy t.r_graph in
+  let dynamic = ref [] in
   let roots = ref (Option.to_list (Objfile.func_id_of_addr o o.Objfile.entry)) in
   List.iter
     (fun (a : Gmon.arc) ->
@@ -413,9 +413,14 @@ let brute_crosscheck (t : Analysis.Reach.t) (o : Objfile.t) (g : Gmon.t) =
         if a.a_from < 0 || a.a_from >= len then roots := dst :: !roots
         else
           match Objfile.symbol_index o a.a_from with
-          | Some src -> Graphlib.Digraph.add_arc union ~src ~dst ~count:0
+          | Some src -> dynamic := (src, dst, 0) :: !dynamic
           | None -> ()))
     g.arcs;
+  let union =
+    Graphlib.Digraph.of_arcs
+      ~n:(Graphlib.Digraph.n_nodes t.r_graph)
+      (Graphlib.Digraph.arcs t.r_graph @ !dynamic)
+  in
   let explained = Graphlib.Reach.forward union !roots in
   List.filter_map
     (fun (id, (s : Objfile.symbol)) ->

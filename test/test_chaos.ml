@@ -208,6 +208,22 @@ let test_read_deadline () =
         check_bool "timed out promptly" true (Unix.gettimeofday () -. t0 < 2.0)
       | _ -> Alcotest.fail "expected a deadline miss")
 
+(* Clients answered BUSY together retry apart: the jitter follows the
+   submission id, and a replayed submission sleeps the same schedule. *)
+let test_backoff_follows_the_id () =
+  let submit id = Proto.Submit { label = "l"; id = Some id; payload = "p" } in
+  let schedule id = Proto.backoff_schedule (submit id) 6 in
+  check_bool "one id, one schedule" true (schedule "a1" = schedule "a1");
+  check_bool "two ids, two schedules" true (schedule "a1" <> schedule "a2");
+  List.iteri
+    (fun k d ->
+      let base = Float.min 2.0 (0.05 *. Float.pow 2.0 (float_of_int k)) in
+      check_bool (Printf.sprintf "attempt %d within [base/2, base)" k) true
+        (d >= base /. 2.0 && d < base))
+    (schedule "a1");
+  let stats () = Proto.backoff_schedule Proto.Query_stats 6 in
+  check_bool "requests without an id draw fresh schedules" true (stats () <> stats ())
+
 let test_fault_injection_is_deterministic () =
   (* with torn=1.0 every framed write fails after a prefix; the same
      spec gives the same failure — replayable chaos *)
@@ -588,6 +604,8 @@ let () =
           Alcotest.test_case "read deadline" `Quick test_read_deadline;
           Alcotest.test_case "fault injection is deterministic" `Quick
             test_fault_injection_is_deterministic;
+          Alcotest.test_case "backoff follows the submission id" `Quick
+            test_backoff_follows_the_id;
         ] );
       ( "daemon",
         [

@@ -355,10 +355,16 @@ let test_propagate_zero_calls_no_crash () =
   check_time "ghost keeps its time" 0.5 (entry_by p "ghost").e_self;
   check_time "main child empty" 0.0 (entry_by p "main").e_child
 
-(* Conservation on random DAGs: total time flowing into spontaneous
-   roots equals total self time. *)
-let propagate_conservation_prop =
-  QCheck.Test.make ~name:"propagation conserves time on random DAGs" ~count:150
+(* Conservation on random call graphs: total time flowing into
+   spontaneous roots equals total self time. With [acyclic] only
+   downward arcs (i < j) are kept, so the graph is a DAG; otherwise
+   upward arcs close cycles and i -> i arcs are self-recursion. *)
+let propagate_conservation_prop ~acyclic =
+  QCheck.Test.make
+    ~name:
+      (if acyclic then "propagation conserves time on random DAGs"
+       else "propagation conserves time with cycles and self-arcs")
+    ~count:150
     QCheck.(
       pair (int_range 2 8)
         (pair (list_of_size Gen.(int_range 0 20) (pair (int_range 0 7) (int_range 0 7)))
@@ -367,12 +373,12 @@ let propagate_conservation_prop =
       let names = List.init n (fun i -> Printf.sprintf "f%d" i) in
       let o = synthetic names in
       let st = Symtab.of_objfile o in
-      (* Keep only downward arcs (i < j) to guarantee a DAG, count 1-3. *)
+      (* count 1-3 *)
       let arcs =
         List.filter_map
           (fun (a, b) ->
             let a = a mod n and b = b mod n in
-            if a < b then Some (a, b) else None)
+            if a < b || not acyclic then Some (a, b) else None)
           raw_arcs
         |> List.sort_uniq compare
       in
@@ -418,6 +424,210 @@ let propagate_conservation_prop =
       in
       abs_float (total -. p.total_time) < 1e-6
       && abs_float (spont_share -. p.total_time) < 1e-6)
+
+(* ------------------------------------------------------------------ *)
+(* Propagate parity: the frozen graph against Ref_propagate, the
+   hash-table graph and list-based Tarjan it replaced. *)
+
+type graph_case = {
+  names : string list;
+  lenient : bool;
+  ticks : int array;  (** per bucket of [4 * routines + 4] one-pc buckets *)
+  records : Gmon.arc list;
+  static : (int * int) list;
+  removed : (int * int) list;
+  auto_break : int option;
+  seconds_per_tick : float;
+}
+
+(* A profile of a synthetic executable, one per seed. Records come
+   from inside routines, from the spontaneous site and from past the
+   text; their callees are entries and now and then a pc inside a
+   routine, which a strict analysis drops and a lenient one folds into
+   <unknown>. Pairs repeat, counts may be 0, and self-arcs and cycles
+   are common; one case in five has 10 to 14 two-routine cycles and
+   ticks in only half its routines, so cycles tie on total and are
+   ordered by label. Static arcs (some out of range), removed pairs
+   and an auto-break bound ride along. *)
+let graph_case seed =
+  let rand = Random.State.make [| seed |] in
+  let int lo hi = lo + Random.State.int rand (hi - lo + 1) in
+  let coin k = Random.State.int rand k = 0 in
+  let many_cycles = coin 5 in
+  let n = if many_cycles then int 20 28 else int 1 12 in
+  let lenient = coin 2 in
+  let n_ids = if lenient then n + 1 else n in
+  let names = List.init n (fun i -> if coin 8 then "dup" else Printf.sprintf "f%d" i) in
+  let ticks = Array.make ((4 * n) + 4) 0 in
+  for f = 0 to n - 1 do
+    if not (coin (if many_cycles then 2 else 4)) then ticks.((4 * f) + int 0 3) <- int 0 40
+  done;
+  if coin 3 then ticks.(4 * n) <- int 1 20;
+  let routine () = int 0 (n - 1) in
+  let record from callee =
+    let a_from =
+      match from with
+      | `Spont -> if coin 2 then -1 else (4 * n) + int 0 8
+      | `In f -> (4 * f) + int 0 3
+    in
+    let a_self = if coin 12 then (4 * callee) + int 1 3 else 4 * callee in
+    { Gmon.a_from; a_self; a_count = (if coin 6 then 0 else int 1 9) }
+  in
+  let pairs =
+    (if many_cycles then
+       List.concat_map
+         (fun i -> [ (2 * i, (2 * i) + 1); ((2 * i) + 1, 2 * i) ])
+         (List.init (n / 2) Fun.id)
+     else [])
+    @ List.init (int 0 (3 * n)) (fun _ ->
+          let src = routine () in
+          (src, if coin 6 then src else routine ()))
+  in
+  let dynamic = List.map (fun (src, dst) -> record (`In src) dst) pairs in
+  let records =
+    dynamic
+    @ List.init (int 0 n) (fun _ -> record `Spont (routine ()))
+    @ List.filter (fun _ -> coin 3) dynamic
+  in
+  let shuffled =
+    List.map snd
+      (List.sort compare (List.map (fun r -> (Random.State.bits rand, r)) records))
+  in
+  {
+    names;
+    lenient;
+    ticks;
+    records = shuffled;
+    static = List.init (int 0 n) (fun _ -> (int (-1) n, int (-1) n));
+    removed = List.init (int 0 3) (fun _ -> (int 0 (n_ids - 1), int 0 (n_ids - 1)));
+    auto_break = (if coin 2 then Some (int 0 4) else None);
+    seconds_per_tick = 1.0 /. float_of_int (int 1 100);
+  }
+
+let print_graph_case c =
+  Printf.sprintf "%s%s\nticks [%s]\nrecords [%s]\nstatic [%s]\nremoved [%s]\nauto-break %s"
+    (String.concat " " c.names)
+    (if c.lenient then " (lenient)" else "")
+    (String.concat ";" (Array.to_list (Array.map string_of_int c.ticks)))
+    (String.concat ";"
+       (List.map
+          (fun (a : Gmon.arc) -> Printf.sprintf "%d->%d:%d" a.a_from a.a_self a.a_count)
+          c.records))
+    (String.concat ";" (List.map (fun (s, d) -> Printf.sprintf "%d->%d" s d) c.static))
+    (String.concat ";" (List.map (fun (s, d) -> Printf.sprintf "%d->%d" s d) c.removed))
+    (match c.auto_break with Some b -> string_of_int b | None -> "off")
+
+(* Both passes over one case, as Report.analyze runs them: build,
+   remove the named arcs, break cycles, propagate. *)
+let case_symtab c =
+  let st = Symtab.of_objfile (synthetic c.names) in
+  if c.lenient then
+    let st, u = Symtab.with_unknown st in
+    (st, Some u)
+  else (st, None)
+
+let graph_case_passes c =
+  let st, unknown = case_symtab c in
+  let hist = Gmon.make_hist ~lowpc:0 ~highpc:(Array.length c.ticks) ~bucket_size:1 in
+  let asg = Assign.assign ?unknown st { hist with h_counts = c.ticks } in
+  let seconds_per_tick = c.seconds_per_tick in
+  let ag = Arcgraph.build ~static:c.static ?unknown st c.records in
+  let ag = Arcgraph.remove_arcs ag c.removed in
+  let broken =
+    Option.fold ~none:[] ~some:(fun bound -> Graphlib.Feedback.greedy ag.graph ~bound)
+      c.auto_break
+  in
+  let ag = Arcgraph.remove_arcs ag broken in
+  let r = Ref_propagate.build ~static:c.static ?unknown st c.records in
+  let r = Ref_propagate.remove_arcs r c.removed in
+  let r_broken =
+    Option.fold ~none:[]
+      ~some:(fun bound -> Ref_propagate.greedy r.graph ~bound)
+      c.auto_break
+  in
+  let r = Ref_propagate.remove_arcs r r_broken in
+  ( (ag, broken, Propagate.run st asg ag ~seconds_per_tick),
+    (r, r_broken, Ref_propagate.run st asg r ~seconds_per_tick) )
+
+(* The first part of the two passes' results on which they disagree. *)
+let propagate_difference c =
+  let (ag, broken, p), (r, r_broken, q) = graph_case_passes c in
+  List.find_map
+    (fun (what, same) -> if same () then None else Some what)
+    [
+      ( "arcs",
+        fun () -> Graphlib.Digraph.arcs ag.graph = Ref_propagate.Digraph.arcs r.graph );
+      ("spontaneous", fun () -> ag.spontaneous = r.spontaneous);
+      ("dynamic_arcs", fun () -> ag.dynamic_arcs = r.dynamic_arcs);
+      ("dropped and folded", fun () -> (ag.dropped, ag.folded) = (r.dropped, r.folded));
+      ("arcs broken by the heuristic", fun () -> broken = r_broken);
+      ("Profile.t", fun () -> p = q);
+      ("graph listing", fun () -> Graphprof.listing p = Graphprof.listing q);
+      ("flat listing", fun () -> Flat.listing p = Flat.listing q);
+      ("index listing", fun () -> Xindex.listing p = Xindex.listing q);
+    ]
+
+let propagate_parity =
+  QCheck.Test.make ~name:"propagate = reference, on random call graphs" ~count:500
+    (QCheck.make
+       ~print:(fun seed ->
+         Printf.sprintf "seed %d:\n%s" seed (print_graph_case (graph_case seed)))
+       QCheck.Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      match propagate_difference (graph_case seed) with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "seed %d: %s differ" seed what)
+
+(* The generator reaches what the graph pass treats specially. *)
+let test_propagate_parity_inputs_cover () =
+  let seen = Hashtbl.create 16 in
+  let saw what b = if b then Hashtbl.replace seen what () in
+  for seed = 1 to 300 do
+    let c = graph_case seed in
+    let (ag, broken, p), _ = graph_case_passes c in
+    let arcs = Graphlib.Digraph.arcs ag.graph in
+    saw "a cycle" (Array.length p.cycles > 0);
+    saw "ten cycles" (Array.length p.cycles >= 10);
+    (* labels compare as strings: cycle 10 before cycle 9 *)
+    let total (c : Profile.cycle_entry) = c.c_self +. c.c_child in
+    saw "cycle 10+ tied with cycle 2-9"
+      (Array.exists
+         (fun (a : Profile.cycle_entry) ->
+           a.c_no >= 10
+           && Array.exists
+                (fun (b : Profile.cycle_entry) ->
+                  b.c_no >= 2 && b.c_no <= 9 && total a = total b)
+                p.cycles)
+         p.cycles);
+    saw "a self-arc" (List.exists (fun (s, d, _) -> s = d) arcs);
+    saw "a repeated record"
+      (List.length c.records
+      > List.length
+          (List.sort_uniq compare
+             (List.map (fun (a : Gmon.arc) -> (a.a_from, a.a_self)) c.records)));
+    saw "a zero-count static arc"
+      (List.exists
+         (fun (s, d, k) -> k = 0 && not (List.mem (s, d) ag.dynamic_arcs))
+         arcs);
+    saw "a spontaneous caller" (ag.spontaneous <> []);
+    (let st, unknown = case_symtab c in
+     let built = Arcgraph.build ~static:c.static ?unknown st c.records in
+     saw "a removed arc"
+       (List.exists
+          (fun (src, dst) -> Graphlib.Digraph.mem_arc built.graph ~src ~dst)
+          c.removed));
+    saw "a cycle broken" (broken <> []);
+    saw "a folded record" (ag.folded > 0);
+    saw "a dropped record" (ag.dropped > 0)
+  done;
+  List.iter
+    (fun what -> Alcotest.(check bool) what true (Hashtbl.mem seen what))
+    [
+      "a cycle"; "ten cycles"; "cycle 10+ tied with cycle 2-9"; "a self-arc";
+      "a repeated record";
+      "a zero-count static arc"; "a spontaneous caller"; "a removed arc";
+      "a cycle broken"; "a folded record"; "a dropped record";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 4 golden *)
@@ -1044,7 +1254,11 @@ let () =
           Alcotest.test_case "static completes cycle" `Quick
             test_propagate_static_completes_cycle;
           Alcotest.test_case "zero denominators" `Quick test_propagate_zero_calls_no_crash;
-          qt propagate_conservation_prop;
+          qt (propagate_conservation_prop ~acyclic:true);
+          qt (propagate_conservation_prop ~acyclic:false);
+          qt propagate_parity;
+          Alcotest.test_case "parity inputs cover" `Quick
+            test_propagate_parity_inputs_cover;
         ] );
       ( "figure4",
         [

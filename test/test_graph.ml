@@ -41,25 +41,28 @@ let figure2 () =
 (* Digraph *)
 
 let test_digraph_basic () =
-  let g = Digraph.create 3 in
-  check_int "nodes" 3 (Digraph.n_nodes g);
-  check_int "no arcs" 0 (Digraph.n_arcs g);
-  Digraph.add_arc g ~src:0 ~dst:1 ~count:2;
-  Digraph.add_arc g ~src:0 ~dst:1 ~count:3;
-  Digraph.add_arc g ~src:1 ~dst:2 ~count:0;
+  let e = Digraph.of_arcs ~n:3 [] in
+  check_int "nodes" 3 (Digraph.n_nodes e);
+  check_int "no arcs" 0 (Digraph.n_arcs e);
+  let g = Digraph.of_arcs ~n:3 [ (0, 1, 2); (1, 2, 0); (0, 1, 3) ] in
   check_int "arc accumulation" 5 (Digraph.arc_count g ~src:0 ~dst:1);
   check_int "zero-count arc exists" 0 (Digraph.arc_count g ~src:1 ~dst:2);
   Alcotest.(check bool) "mem" true (Digraph.mem_arc g ~src:1 ~dst:2);
   check_int "n_arcs" 2 (Digraph.n_arcs g)
 
+(* Removing arcs is building again from the arcs that are kept. *)
+let without g removed =
+  Digraph.of_arcs ~n:(Digraph.n_nodes g)
+    (List.filter (fun (s, d, _) -> not (List.mem (s, d) removed)) (Digraph.arcs g))
+
 let test_digraph_remove () =
-  let g = Digraph.of_arcs ~n:2 [ (0, 1, 5) ] in
-  Digraph.remove_arc g ~src:0 ~dst:1;
+  let g = without (Digraph.of_arcs ~n:2 [ (0, 1, 5) ]) [ (0, 1) ] in
   Alcotest.(check bool) "removed" false (Digraph.mem_arc g ~src:0 ~dst:1);
   check_int "n_arcs" 0 (Digraph.n_arcs g);
-  (* Removing again is a no-op. *)
-  Digraph.remove_arc g ~src:0 ~dst:1;
-  check_int "still 0" 0 (Digraph.n_arcs g)
+  (* Removing an absent arc changes nothing. *)
+  let h = without g [ (0, 1) ] in
+  check_int "still 0" 0 (Digraph.n_arcs h);
+  Alcotest.(check bool) "same graph" true (Digraph.equal g h)
 
 let test_digraph_succs_preds () =
   let g = Digraph.of_arcs ~n:4 [ (0, 2, 1); (0, 1, 3); (3, 1, 7) ] in
@@ -71,13 +74,18 @@ let test_digraph_succs_preds () =
   check_int "in_degree" 2 (Digraph.in_degree g 1)
 
 let test_digraph_bounds () =
-  let g = Digraph.create 2 in
   Alcotest.check_raises "src out of range"
     (Invalid_argument "Digraph: node 2 out of range [0,2)") (fun () ->
-      Digraph.add_arc g ~src:2 ~dst:0 ~count:1);
+      ignore (Digraph.of_arcs ~n:2 [ (2, 0, 1) ]));
+  Alcotest.check_raises "dst out of range"
+    (Invalid_argument "Digraph: node -1 out of range [0,2)") (fun () ->
+      ignore (Digraph.of_arcs ~n:2 [ (0, 1, 1); (0, -1, 1) ]));
   Alcotest.check_raises "negative count"
-    (Invalid_argument "Digraph.add_arc: negative count") (fun () ->
-      Digraph.add_arc g ~src:0 ~dst:1 ~count:(-1))
+    (Invalid_argument "Digraph.of_arcs: negative count") (fun () ->
+      ignore (Digraph.of_arcs ~n:2 [ (0, 1, -1) ]));
+  Alcotest.check_raises "negative size"
+    (Invalid_argument "Digraph.of_arcs: negative size") (fun () ->
+      ignore (Digraph.of_arcs ~n:(-1) []))
 
 let test_digraph_reverse () =
   let g = Digraph.of_arcs ~n:3 [ (0, 1, 2); (1, 2, 3) ] in
@@ -87,10 +95,11 @@ let test_digraph_reverse () =
 
 let test_digraph_copy_independent () =
   let g = Digraph.of_arcs ~n:2 [ (0, 1, 1) ] in
-  let h = Digraph.copy g in
-  Digraph.remove_arc h ~src:0 ~dst:1;
+  let h = without g [ (0, 1) ] in
   Alcotest.(check bool) "original intact" true (Digraph.mem_arc g ~src:0 ~dst:1);
-  Alcotest.(check bool) "copies equal iff same arcs" false (Digraph.equal g h)
+  Alcotest.(check bool) "copies equal iff same arcs" false (Digraph.equal g h);
+  Alcotest.(check bool) "a rebuild from the same arcs is equal" true
+    (Digraph.equal g (Digraph.of_arcs ~n:2 (Digraph.arcs g)))
 
 (* ------------------------------------------------------------------ *)
 (* Tarjan on the paper's figures *)
@@ -163,9 +172,9 @@ let test_scc_chain_of_cycles () =
     (r.component.(4) < r.component.(2) && r.component.(2) < r.component.(0))
 
 let test_scc_empty_and_singleton () =
-  let g0 = Digraph.create 0 in
+  let g0 = Digraph.of_arcs ~n:0 [] in
   check_int "empty graph" 0 (Tarjan.scc g0).n_components;
-  let g1 = Digraph.create 1 in
+  let g1 = Digraph.of_arcs ~n:1 [] in
   let r = (Tarjan.scc g1) in
   check_int "singleton" 1 r.n_components;
   Alcotest.(check bool) "trivially a DAG" true (Tarjan.is_dag g1)
@@ -173,10 +182,7 @@ let test_scc_empty_and_singleton () =
 let test_scc_deep_path_no_overflow () =
   (* A 200k-node path; a recursive Tarjan would blow the OS stack. *)
   let n = 200_000 in
-  let g = Digraph.create n in
-  for i = 0 to n - 2 do
-    Digraph.add_arc g ~src:i ~dst:(i + 1) ~count:1
-  done;
+  let g = Digraph.of_arcs ~n (List.init (n - 1) (fun i -> (i, i + 1, 1))) in
   let r = Tarjan.scc g in
   check_int "all singletons" n r.n_components
 
@@ -206,6 +212,47 @@ let random_graph_arb =
 let brute_same_component g u v =
   let fwd = Reach.forward g [ u ] and bwd = Reach.backward g [ u ] in
   fwd.(v) && bwd.(v)
+
+(* of_arcs against the arc list it was given: each (src, dst) pair once
+   with its counts summed, the slices sorted, and each node's
+   successors and predecessors describing the same arcs. *)
+let of_arcs_agrees_with_list =
+  QCheck.Test.make
+    ~name:"of_arcs sums parallel arcs; succs and preds are sorted inverses"
+    ~count:300 random_graph_arb (fun (n, arcs) ->
+      let g = Digraph.of_arcs ~n arcs in
+      let sum s d =
+        List.fold_left (fun a (s', d', c) -> if s' = s && d' = d then a + c else a) 0 arcs
+      in
+      let present s d = List.exists (fun (s', d', _) -> s' = s && d' = d) arcs in
+      let expected =
+        List.sort_uniq compare (List.map (fun (s, d, _) -> (s, d)) arcs)
+        |> List.map (fun (s, d) -> (s, d, sum s d))
+      in
+      let ascending l = List.sort_uniq compare (List.map fst l) = List.map fst l in
+      let from u = List.filter_map (fun (s, d, c) -> if s = u then Some (d, c) else None)
+      and into u = List.filter_map (fun (s, d, c) -> if d = u then Some (s, c) else None) in
+      let nodes = List.init n Fun.id in
+      let fail what = QCheck.Test.fail_reportf "%s disagrees" what in
+      (Digraph.arcs g = expected || fail "arcs")
+      && (Digraph.n_arcs g = List.length expected || fail "n_arcs")
+      && List.for_all
+           (fun u ->
+             let succs = Digraph.succs g u and preds = Digraph.preds g u in
+             (ascending succs && ascending preds || fail "slice order")
+             && (succs = from u expected || fail "succs")
+             && (preds = into u expected || fail "preds")
+             && (Digraph.out_degree g u = List.length succs || fail "out_degree")
+             && (Digraph.in_degree g u = List.length preds || fail "in_degree"))
+           nodes
+      && List.for_all
+           (fun s ->
+             List.for_all
+               (fun d ->
+                 (Digraph.mem_arc g ~src:s ~dst:d = present s d || fail "mem_arc")
+                 && (Digraph.arc_count g ~src:s ~dst:d = sum s d || fail "arc_count"))
+               nodes)
+           nodes)
 
 let scc_matches_bruteforce =
   QCheck.Test.make ~name:"Tarjan SCC matches reachability definition" ~count:300
@@ -355,6 +402,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_digraph_bounds;
           Alcotest.test_case "reverse" `Quick test_digraph_reverse;
           Alcotest.test_case "copy independence" `Quick test_digraph_copy_independent;
+          qt of_arcs_agrees_with_list;
         ] );
       ( "tarjan",
         [
