@@ -492,7 +492,8 @@ let removed =
          ~doc:"Remove the arc from the analysis. Repeatable.")
 
 let break =
-  Arg.(value & opt (some int) None & info [ "break-cycles" ] ~docv:"N"
+  Arg.(value & opt (some Cliconv.non_negative) None
+       & info [ "break-cycles" ] ~docv:"N"
          ~doc:"Heuristically remove up to N low-count arcs to break cycles.")
 
 let focus =

@@ -261,19 +261,9 @@ let icount_out =
          ~doc:"Gather exact per-instruction execution counts and save them to \
                $(docv) (for annotated-source listings).")
 
-(* The clock and the windows measured in its ticks: zero or less would
-   stop simulated time or divide by zero, so the command line refuses
-   it and names the option. *)
-let positive =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-  in
-  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
-
 let epoch_ticks =
-  Arg.(value & opt (some positive) None & info [ "epoch-ticks" ] ~docv:"N"
+  Arg.(value & opt (some Cliconv.positive) None
+       & info [ "epoch-ticks" ] ~docv:"N"
          ~doc:"Snapshot the profile every $(docv) clock ticks and write the \
                resulting timeline (one delta-encoded epoch per window) to \
                the --epochs file.")
@@ -284,7 +274,8 @@ let epochs_out =
                Only written when --epoch-ticks is given.")
 
 let sample_ticks =
-  Arg.(value & opt (some positive) None & info [ "sample-ticks" ] ~docv:"N"
+  Arg.(value & opt (some Cliconv.positive) None
+       & info [ "sample-ticks" ] ~docv:"N"
          ~doc:"Walk and record the whole call stack every $(docv) clock \
                ticks (1 = every tick). Distinct stacks are interned in a \
                bounded buffer; the result is saved as an sprof container \
@@ -296,19 +287,21 @@ let sample_out =
                written when --sample-ticks is given.")
 
 let sample_capacity =
-  Arg.(value & opt (some int) None & info [ "sample-capacity" ] ~docv:"N"
+  Arg.(value & opt (some Cliconv.positive) None
+       & info [ "sample-capacity" ] ~docv:"N"
          ~doc:"Cap on distinct interned stacks; once full, new stacks are \
                dropped and counted as skipped (vm.sample.skipped).")
 
 let hz =
-  Arg.(value & opt positive 60 & info [ "hz" ] ~docv:"N" ~doc:"Clock ticks per second.")
+  Arg.(value & opt Cliconv.positive 60 & info [ "hz" ] ~docv:"N"
+         ~doc:"Clock ticks per second.")
 
 let cpt =
-  Arg.(value & opt positive 16_666 & info [ "cycles-per-tick" ] ~docv:"N"
+  Arg.(value & opt Cliconv.positive 16_666 & info [ "cycles-per-tick" ] ~docv:"N"
          ~doc:"Simulated cycles between clock ticks.")
 
 let bucket =
-  Arg.(value & opt positive 1 & info [ "bucket-size" ] ~docv:"N"
+  Arg.(value & opt Cliconv.positive 1 & info [ "bucket-size" ] ~docv:"N"
          ~doc:"Histogram granularity: addresses per bucket.")
 
 let callee_primary =

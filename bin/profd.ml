@@ -375,8 +375,10 @@ let conn_timeout =
                current frame (either direction) within $(docv) seconds is \
                disconnected (slowloris defense).")
 
+(* A cap of zero would refuse every connection, the daemon's own
+   --shutdown among them. *)
 let max_conns =
-  Arg.(value & opt int 64 & info [ "max-conns" ] ~docv:"N"
+  Arg.(value & opt Cliconv.positive 64 & info [ "max-conns" ] ~docv:"N"
          ~doc:"Concurrent-connection cap; peers beyond it are answered \
                BUSY and closed.")
 

@@ -81,9 +81,11 @@ let apply_min_percent (profile : Profile.t) min_percent =
 
 let analyze ?(options = default_options) ?indirect o (gmon : Gmon.t) =
   Obs.Trace.with_span ~cat:"core" "analyze" @@ fun () ->
-  match Gmon.validate gmon with
-  | Error es -> Error ("invalid profile data: " ^ String.concat "; " es)
-  | Ok () when
+  match (Gmon.validate gmon, options.auto_break_cycles) with
+  | Error es, _ -> Error ("invalid profile data: " ^ String.concat "; " es)
+  | Ok (), Some bound when bound < 0 ->
+    Error (Printf.sprintf "cycle-breaking bound %d is negative" bound)
+  | Ok (), _ when
       (not options.lenient)
       && (gmon.hist.h_lowpc <> 0
           || gmon.hist.h_highpc <> Array.length o.Objcode.Objfile.text) ->
@@ -96,7 +98,7 @@ let analyze ?(options = default_options) ?indirect o (gmon : Gmon.t) =
           wrong gmon file for this binary?"
          gmon.hist.h_lowpc gmon.hist.h_highpc
          (Array.length o.Objcode.Objfile.text))
-  | Ok () -> (
+  | Ok (), _ -> (
     let st = Symtab.of_objfile o in
     let st, unknown =
       if options.lenient then

@@ -18,7 +18,8 @@ type options = {
           [focus] and [exclude] a name stands for every routine of
           that name. *)
   auto_break_cycles : int option;
-      (** remove up to this many heuristically-chosen cycle arcs *)
+      (** remove up to this many heuristically-chosen cycle arcs; a
+          negative bound is an [Error] *)
   focus : string list;
       (** show only the parts of the graph containing these routines *)
   exclude : string list;

@@ -261,7 +261,15 @@ let decode_response body =
 
 (* --- client side ------------------------------------------------------ *)
 
+(* A daemon at its connection cap answers BUSY and closes without
+   reading the request, so the request's write can meet a closed
+   socket. That is a torn frame [rpc] backs off from, not a SIGPIPE
+   that kills the client: the first connection ignores the signal for
+   the rest of the process. *)
+let ignore_sigpipe = lazy (Sys.set_signal Sys.sigpipe Sys.Signal_ignore)
+
 let rpc_once ~timeout ~socket req =
+  Lazy.force ignore_sigpipe;
   match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
   | fd ->

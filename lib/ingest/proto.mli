@@ -124,7 +124,10 @@ val rpc :
     daemon dedupes). The final attempt's
     [Resp_busy] is returned as-is so the caller can degrade (e.g.
     spool). [Error] carries connect/transport failures; a daemon-side
-    failure arrives as [Resp_err]. *)
+    failure arrives as [Resp_err]. The first call sets SIGPIPE to
+    ignored for the process, so a write to a daemon that closed the
+    connection (as it does at its connection cap) is a transport
+    failure, not the death of the client. *)
 
 val backoff_schedule : request -> int -> float list
 (** The first [n] delays, in seconds, that {!rpc} sleeps between its

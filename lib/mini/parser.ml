@@ -91,34 +91,35 @@ and parse_cmp st =
     | _ -> ());
     Ast.mk_expr ~loc (Ast.Binop (op, lhs, rhs))
 
-and parse_add st =
-  let rec go lhs =
-    match peek st with
-    | Lexer.PLUS, loc ->
-      advance st;
-      go (Ast.mk_expr ~loc (Ast.Binop (Ast.Add, lhs, parse_mul st)))
-    | Lexer.MINUS, loc ->
-      advance st;
-      go (Ast.mk_expr ~loc (Ast.Binop (Ast.Sub, lhs, parse_mul st)))
-    | _ -> lhs
-  in
-  go (parse_mul st)
+(* The left-associative loops are functions of their own, not local
+   closures: a closure built on every call was a fifth of the parser's
+   allocation. *)
+and parse_add st = add_rest st (parse_mul st)
 
-and parse_mul st =
-  let rec go lhs =
-    match peek st with
-    | Lexer.STAR, loc ->
-      advance st;
-      go (Ast.mk_expr ~loc (Ast.Binop (Ast.Mul, lhs, parse_unary st)))
-    | Lexer.SLASH, loc ->
-      advance st;
-      go (Ast.mk_expr ~loc (Ast.Binop (Ast.Div, lhs, parse_unary st)))
-    | Lexer.PERCENT, loc ->
-      advance st;
-      go (Ast.mk_expr ~loc (Ast.Binop (Ast.Mod, lhs, parse_unary st)))
-    | _ -> lhs
-  in
-  go (parse_unary st)
+and add_rest st lhs =
+  match peek st with
+  | Lexer.PLUS, loc ->
+    advance st;
+    add_rest st (Ast.mk_expr ~loc (Ast.Binop (Ast.Add, lhs, parse_mul st)))
+  | Lexer.MINUS, loc ->
+    advance st;
+    add_rest st (Ast.mk_expr ~loc (Ast.Binop (Ast.Sub, lhs, parse_mul st)))
+  | _ -> lhs
+
+and parse_mul st = mul_rest st (parse_unary st)
+
+and mul_rest st lhs =
+  match peek st with
+  | Lexer.STAR, loc ->
+    advance st;
+    mul_rest st (Ast.mk_expr ~loc (Ast.Binop (Ast.Mul, lhs, parse_unary st)))
+  | Lexer.SLASH, loc ->
+    advance st;
+    mul_rest st (Ast.mk_expr ~loc (Ast.Binop (Ast.Div, lhs, parse_unary st)))
+  | Lexer.PERCENT, loc ->
+    advance st;
+    mul_rest st (Ast.mk_expr ~loc (Ast.Binop (Ast.Mod, lhs, parse_unary st)))
+  | _ -> lhs
 
 and parse_unary st =
   match peek st with
@@ -133,17 +134,16 @@ and parse_unary st =
     Ast.mk_expr ~loc (Ast.Unop (Ast.Not, parse_unary st))
   | _ -> parse_postfix st
 
-and parse_postfix st =
-  let rec go e =
-    match peek st with
-    | Lexer.LPAREN, loc ->
-      advance st;
-      let args = parse_args st in
-      ignore (expect st Lexer.RPAREN);
-      go (Ast.mk_expr ~loc (Ast.Call (e, args)))
-    | _ -> e
-  in
-  go (parse_primary st)
+and parse_postfix st = postfix_rest st (parse_primary st)
+
+and postfix_rest st e =
+  match peek st with
+  | Lexer.LPAREN, loc ->
+    advance st;
+    let args = parse_args st in
+    ignore (expect st Lexer.RPAREN);
+    postfix_rest st (Ast.mk_expr ~loc (Ast.Call (e, args)))
+  | _ -> e
 
 and parse_args st =
   match peek st with

@@ -17,8 +17,9 @@
       instead of a hand-written [--inline] list.
     - {b basic-block reordering}: within each sampled function, the
       layout is rebuilt so the hottest successor chain falls through
-      (histogram ticks projected through the line table onto
-      {!Analysis.Cfg} blocks, ties broken by {!Analysis.Dom} loop
+      (histogram ticks projected through the source-line markers onto
+      the basic blocks of the assembly it emits, which it finds by the
+      CFG pass's leader rules; ties broken by {!Analysis.Dom} loop
       depth), cold blocks sink to the end, and jump fixups keep the
       control flow identical: a trailing jump to the next-placed block
       is cut, a displaced fall-through gets an explicit jump.

@@ -1165,6 +1165,70 @@ let test_profd_chaos_cli () =
   let pid_a = path "chaos_a.pid" and pid_c = path "chaos_c.pid" in
   with_daemons [ pid_a; pid_c ] (fun () -> chaos_steps ~pid_a ~pid_c)
 
+(* At its connection cap the daemon answers BUSY and closes without
+   reading the request, so a client's request write can meet a closed
+   socket. With the one slot held by an idle peer, minirun --submit
+   backs off, gives up and spools the run, and profd --submit fails
+   with a message; neither dies of SIGPIPE (exit 141 from the shell). *)
+let test_connection_cap_cli () =
+  let pidfile = path "cap.pid" in
+  with_daemons [ pidfile ] @@ fun () ->
+  let src = write_source () in
+  let obj = path "cap.obj" and gmon = path "cap.gmon" in
+  ignore (run_cmd [ exe "minic"; src; "--pg"; "-o"; obj ]);
+  ignore (run_cmd [ exe "minirun"; obj; "-q"; "--gmon"; gmon ]);
+  let sock = path "cap.sock" and store = path "cap_store" in
+  let spool = path "cap_spool" and log = path "cap.log" in
+  List.iter (fun p -> if Sys.file_exists p then rm_rf p) [ store; spool; log ];
+  start_profd ~sock ~pidfile ~log
+    [ "--store"; store; "--max-conns"; "1"; "--conn-timeout"; "20" ];
+  let connect () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    fd
+  in
+  let readable fd timeout =
+    match Unix.select [ fd ] [] [] timeout with [], _, _ -> false | _ -> true
+  in
+  (* The daemon takes connections in arrival order, so once it has
+     answered [second], it has kept or refused [peer]. A [second] it
+     does not answer holds the slot: [peer] came while the readiness
+     probe still held it. Neither held, both refused: try again. *)
+  let rec hold n =
+    let peer = connect () in
+    let second = connect () in
+    if not (readable second 2.0) then begin
+      Unix.close peer;
+      second
+    end
+    else begin
+      Unix.close second;
+      if not (readable peer 0.0) then peer
+      else if n > 0 then begin
+        Unix.close peer;
+        hold (n - 1)
+      end
+      else Alcotest.fail "the daemon refused every idle peer"
+    end
+  in
+  let peer = hold 20 in
+  Fun.protect ~finally:(fun () -> Unix.close peer) (fun () ->
+      let code, _ =
+        run_cmd
+          [ exe "minirun"; obj; "-q"; "--submit"; sock; "--submit-retries"; "3";
+            "--spool"; spool ]
+      in
+      check_int "minirun --submit --spool exits 0" 0 code;
+      check_int "one run spooled" 1
+        (List.length
+           (List.filter
+              (fun n -> Filename.check_suffix n ".spool")
+              (Array.to_list (Sys.readdir spool))));
+      let code, _ = run_cmd [ exe "profd"; "--socket"; sock; "--submit"; gmon ] in
+      check_int "profd --submit exits 1" 1 code;
+      check_bool "with a message" true (contains ~needle:"profd: " (stderr_text ())));
+  stop_profd ~sock ~pidfile
+
 (* The live-telemetry loop end to end, under injected latency: a
    daemon whose fault plane delays every RPC 15 ms, run with
    --telemetry-out and --log, watched by proftop (--once --json), its
@@ -1289,23 +1353,33 @@ let test_proftop_cli () =
 (* A clock setting of zero would stop simulated time (a tick interval
    of 0 cycles never lets the clock catch up) or divide by it, so
    minirun refuses it on the command line, naming the option, with
-   cmdliner's exit code. [timeout] turns a run that never returns into
-   a failure instead of a stalled suite. *)
+   cmdliner's exit code. So do the other counts a bad value would turn
+   into a crash or a useless run: a sampler with room for no stack, a
+   negative cycle-breaking bound, and a daemon that refuses every
+   connection, its own --shutdown among them. [timeout] turns a run
+   that never returns into a failure instead of a stalled suite. *)
 let test_clock_options_positive () =
   let src = write_source () in
-  let obj = path "clock.obj" in
+  let obj = path "clock.obj" and gmon = path "clock.gmon" in
   ignore (run_cmd [ exe "minic"; src; "-o"; obj ]);
+  ignore (run_cmd [ exe "minirun"; obj; "-q"; "--gmon"; gmon ]);
+  let minirun = [ exe "minirun"; obj; "-q"; "--gmon"; path "clock_bad.gmon" ] in
   List.iter
-    (fun opt ->
+    (fun (cmd, opt, value) ->
       let code, _ =
-        run_cmd
-          [ "timeout"; "-s"; "KILL"; "10"; exe "minirun"; obj; "-q"; "--gmon";
-            path "clock.gmon"; opt ^ "=0" ]
+        run_cmd ([ "timeout"; "-s"; "KILL"; "10" ] @ cmd @ [ opt ^ "=" ^ value ])
       in
-      check_int (opt ^ "=0 is a command-line error") 124 code;
+      check_int (opt ^ "=" ^ value ^ " is a command-line error") 124 code;
       check_bool (opt ^ " named") true
         (contains ~needle:("option '" ^ opt ^ "'") (stderr_text ())))
-    [ "--hz"; "--cycles-per-tick"; "--bucket-size"; "--epoch-ticks"; "--sample-ticks" ]
+    (List.map
+       (fun opt -> (minirun, opt, "0"))
+       [ "--hz"; "--cycles-per-tick"; "--bucket-size"; "--epoch-ticks"; "--sample-ticks";
+         "--sample-capacity" ]
+    @ [ ([ exe "gprofx"; obj; gmon ], "--break-cycles", "-1");
+        ( [ exe "profd"; "--serve"; "--socket"; path "clock.sock"; "--store";
+            path "clock_store" ],
+          "--max-conns", "0" ) ])
 
 (* A stack walk costs 2 cycles per frame, so on a clock of one cycle
    per tick with a walk on every tick each walk outlasts a tick. The
@@ -1454,6 +1528,7 @@ let () =
           Alcotest.test_case "minic --werror" `Slow test_werror_cli;
           Alcotest.test_case "profd daemon" `Slow test_profd_cli;
           Alcotest.test_case "profd chaos" `Slow test_profd_chaos_cli;
+          Alcotest.test_case "profd connection cap" `Slow test_connection_cap_cli;
           Alcotest.test_case "proftop telemetry" `Slow test_proftop_cli;
           Alcotest.test_case "bad inputs" `Slow test_bad_inputs_fail_cleanly;
           Alcotest.test_case "clock options positive" `Slow test_clock_options_positive;

@@ -948,7 +948,15 @@ let test_report_heuristic_break () =
   check_int "cycle broken" 0 (Array.length r.profile.cycles);
   (* The heuristic prefers the lowest-count arc: SUB1B->SUB1 (2). *)
   Alcotest.(check (list (pair string string))) "chose the cheap arc"
-    [ ("SUB1B", "SUB1") ] (Report.removed_arc_names r)
+    [ ("SUB1B", "SUB1") ] (Report.removed_arc_names r);
+  (* a negative bound is an error, not an exception from the heuristic *)
+  match
+    Report.analyze
+      ~options:{ Report.default_options with auto_break_cycles = Some (-1) }
+      Workloads.Figure4.objfile Workloads.Figure4.gmon
+  with
+  | Ok _ -> Alcotest.fail "a negative bound was accepted"
+  | Error e -> check_bool "the error names the bound" true (contains ~needle:"-1" e)
 
 let test_verbose_listings () =
   let p = fig4_profile () in

@@ -999,6 +999,98 @@ let test_indirect_parity_fixed () =
   check "figure4" Workloads.Figure4.objfile
 
 (* ------------------------------------------------------------------ *)
+(* PGO parity: Pgo, which lays blocks out on the Asm items, against
+   Ref_pgo, which assembled the program to find them. *)
+
+(* The program with one function's source lines taken out, as an AST
+   built without locations has them: its code carries no line marker,
+   so the line in force there is the last one of the function laid out
+   before it, in the profiled build and in the optimized layout. *)
+let strip_lines (p : Mini.Ast.program) name =
+  let rec stmt (s : Mini.Ast.stmt) =
+    let sdesc =
+      match s.sdesc with
+      | If (c, a, b) -> Mini.Ast.If (c, List.map stmt a, List.map stmt b)
+      | While (c, b) -> While (c, List.map stmt b)
+      | For (i, c, step, b) -> For (stmt i, c, stmt step, List.map stmt b)
+      | d -> d
+    in
+    { Mini.Ast.sdesc; sloc = Mini.Ast.dummy_loc }
+  in
+  { p with
+    funs =
+      List.map
+        (fun (f : Mini.Ast.fundef) ->
+          if f.fname <> name then f
+          else { f with body = List.map stmt f.body; floc = Mini.Ast.dummy_loc })
+        p.funs }
+
+(* A generated program or (one seed in five) a stock workload, in one
+   seed of three with a function's source lines taken out, built plain
+   or -pg and folded, with a random forced-inline subset of its
+   functions, profiled on a clock of 1, 7 or 97 cycles per tick into
+   buckets of 1 or 4 addresses. *)
+let pgo_input seed =
+  let rand = Random.State.make [| seed |] in
+  let name, src =
+    if seed mod 5 = 0 then
+      let all = Workloads.Programs.all in
+      let w = List.nth all (Random.State.int rand (List.length all)) in
+      (w.w_name, w.w_source)
+    else ("generated", program_gen rand)
+  in
+  let build, options = List.nth builds (3 * Random.State.int rand 2) in
+  let p = Mini.Parser.parse_program src in
+  let funs = List.map (fun (f : Mini.Ast.fundef) -> f.fname) p.funs in
+  let stripped =
+    if Random.State.int rand 3 > 0 then None
+    else Some (List.nth funs (Random.State.int rand (List.length funs)))
+  in
+  let p = Option.fold ~none:p ~some:(strip_lines p) stripped in
+  let inline = List.filter (fun _ -> Random.State.int rand 4 = 0) funs in
+  let cycles_per_tick = List.nth [ 1; 7; 97 ] (Random.State.int rand 3) in
+  let hist_bucket_size = 1 + (3 * Random.State.int rand 2) in
+  let m =
+    Vm.Machine.create
+      ~config:
+        { Vm.Machine.default_config with
+          cycles_per_tick; hist_bucket_size; max_cycles = Some 200_000 }
+      (match Compile.Codegen.compile_program ~options p with
+      | Ok o -> o
+      | Error e -> QCheck.Test.fail_reportf "compile: %s" e)
+  in
+  ignore (Vm.Machine.run m);
+  ( Printf.sprintf "%s %s%s, inline [%s], %d cycles a tick, buckets of %d" name
+      build
+      (Option.fold ~none:"" ~some:(Printf.sprintf ", no lines in %s") stripped)
+      (String.concat " " inline) cycles_per_tick hist_bucket_size,
+    p,
+    { options with Compile.Codegen.inline },
+    Vm.Machine.profile m )
+
+let pgo_parity =
+  QCheck.Test.make ~name:"pgo = reference, on generated programs and workloads"
+    ~count:500
+    (QCheck.make
+       ~print:(fun seed ->
+         let what, _, _, _ = pgo_input seed in
+         Printf.sprintf "seed %d: %s" seed what)
+       QCheck.Gen.(int_bound 1_000_000_000))
+    (fun seed ->
+      let _, p, options, gmon = pgo_input seed in
+      match (Pgo.optimize ~options p gmon, Ref_pgo.optimize ~options p gmon) with
+      | Ok (o, r), Ok (ro, rr) ->
+        (Pgo.report_listing r = Pgo.report_listing rr
+        || QCheck.Test.fail_reportf "decision logs differ:\n%s\nthe reference:\n%s"
+             (Pgo.report_listing r) (Pgo.report_listing rr))
+        && (Objcode.Objfile.to_string o = Objcode.Objfile.to_string ro
+           || QCheck.Test.fail_report "objects differ")
+      | Error e, Error r ->
+        e = r || QCheck.Test.fail_reportf "errors differ:\n  %s\n  %s" e r
+      | Ok _, Error r -> QCheck.Test.fail_reportf "the reference refused: %s" r
+      | Error e, Ok _ -> QCheck.Test.fail_reportf "refused: %s" e)
+
+(* ------------------------------------------------------------------ *)
 (* Corrupted executables into the VM *)
 
 let corrupt_instr_gen =
@@ -1114,5 +1206,6 @@ let () =
           Alcotest.test_case "indirect: random objects cover every kind" `Quick
             test_indirect_inputs_cover;
           Alcotest.test_case "indirect = reference, on fixtures and workloads" `Quick
-            test_indirect_parity_fixed ] );
+            test_indirect_parity_fixed;
+          qt pgo_parity ] );
     ]

@@ -114,6 +114,25 @@ let test_optimized_binary_reprofiles_cleanly () =
        (Result.fold (Analysis.Proflint.prepare obj) ~error:Fun.id ~ok:(fun st ->
             Analysis.Proflint.lint st fresh)))
 
+(* A round builds one CFG, the reference build's, which the lint reads;
+   the block layout finds its blocks on the Asm items it rewrites. *)
+let test_one_cfg_per_round () =
+  let base = profile_of Workloads.Programs.sort in
+  let t = Obs.Trace.default in
+  Obs.Trace.clear t;
+  Obs.Trace.set_enabled t true;
+  let _, report =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.set_enabled t false)
+      (fun () -> optimize Workloads.Programs.sort base.gmon)
+  in
+  let builds =
+    List.filter (fun s -> s.Obs.Trace.s_name = "cfg-build") (Obs.Trace.spans t)
+  in
+  Obs.Trace.clear t;
+  check_bool "the layout rewrote a function" true (report.Pgo.p_reorder <> []);
+  check_int "cfg-build spans" 1 (List.length builds)
+
 let test_lint_pgo_pairing_rules () =
   let base = profile_of Workloads.Programs.matrix in
   let obj, _ = optimize Workloads.Programs.matrix base.gmon in
@@ -170,6 +189,7 @@ let () =
             test_optimized_binary_reprofiles_cleanly;
           Alcotest.test_case "forced inline overrides heat" `Slow
             test_forced_inline_overrides_heat;
+          Alcotest.test_case "one CFG per round" `Quick test_one_cfg_per_round;
         ] );
       ( "lint",
         [ Alcotest.test_case "pairing rules" `Slow test_lint_pgo_pairing_rules ] );
